@@ -78,9 +78,9 @@ void BM_SpMVStencil(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMVStencil)->Arg(16)->Arg(32)->Arg(64);
 
-/// CG sweep: every preconditioner kind on both operator forms (SSOR and
-/// ILU(0) need explicit sparsity, so they run on CSR only). The label names
-/// the combination; counters report cells and iterations to convergence.
+/// CG sweep: every preconditioner kind on both operator forms (SSOR needs
+/// explicit sparsity, so it runs on CSR only). The label names the
+/// combination; counters report cells and iterations to convergence.
 void BM_CgSweep(benchmark::State& state) {
   const auto kind = static_cast<math::PreconditionerKind>(state.range(1));
   const auto op_kind = static_cast<thermal::OperatorKind>(state.range(2));
@@ -113,7 +113,7 @@ void CgSweepArgs(benchmark::internal::Benchmark* b) {
           PreconditionerKind::kSsor, PreconditionerKind::kIlu0,
           PreconditionerKind::kChebyshev}) {
       b->Args({n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kCsr)});
-      if (kind != PreconditionerKind::kSsor && kind != PreconditionerKind::kIlu0) {
+      if (kind != PreconditionerKind::kSsor) {
         b->Args(
             {n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kStencil)});
       }
@@ -167,11 +167,12 @@ BENCHMARK(BM_Assembly)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond)
 
 /// The transient hot path in miniature: one fixed stepping operator
 /// (A + C/dt), a sequence of warm-started solves whose rhs advances with the
-/// state, exactly like backward-Euler stepping. Three configurations:
+/// state, exactly like backward-Euler stepping. Four configurations:
 ///   0  per-solve ILU(0) on CSR       -- the pre-fix behaviour (refactor
 ///                                       the preconditioner on every step)
 ///   1  cached ILU(0) on CSR          -- preconditioner built once
-///   2  cached Chebyshev on stencil   -- the matrix-free fast path
+///   2  cached Chebyshev on stencil   -- polynomial, threads end to end
+///   3  cached ILU(0) on stencil      -- what TransientSolver steps with
 void BM_RepeatedWarmSolve(benchmark::State& state) {
   constexpr int kSteps = 25;
   const int config = static_cast<int>(state.range(1));
@@ -193,9 +194,11 @@ void BM_RepeatedWarmSolve(benchmark::State& state) {
     cached = std::make_unique<math::Ilu0Preconditioner>(stepping_csr);
   } else if (config == 2) {
     cached = std::make_unique<math::ChebyshevPreconditioner>(stepping_stencil);
+  } else if (config == 3) {
+    cached = std::make_unique<math::StencilIlu0Preconditioner>(stepping_stencil);
   }
   const math::LinearOperator& a =
-      config == 2 ? static_cast<const math::LinearOperator&>(stepping_stencil)
+      config >= 2 ? static_cast<const math::LinearOperator&>(stepping_stencil)
                   : stepping_csr;
 
   const std::size_t n = stepping_csr.rows();
@@ -220,9 +223,9 @@ void BM_RepeatedWarmSolve(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetLabel(config == 0   ? "ilu0-per-solve/csr"
-                 : config == 1 ? "ilu0-cached/csr"
-                               : "chebyshev-cached/stencil");
+  static constexpr const char* kLabels[] = {"ilu0-per-solve/csr", "ilu0-cached/csr",
+                                            "chebyshev-cached/stencil", "ilu0-cached/stencil"};
+  state.SetLabel(kLabels[config]);
   state.counters["cells"] = static_cast<double>(systems.cells);
   state.counters["iters"] = static_cast<double>(iterations);
 }
@@ -230,9 +233,11 @@ BENCHMARK(BM_RepeatedWarmSolve)
     ->Args({32, 0})
     ->Args({32, 1})
     ->Args({32, 2})
+    ->Args({32, 3})
     ->Args({64, 0})
     ->Args({64, 1})
     ->Args({64, 2})
+    ->Args({64, 3})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,8 +3,8 @@
 /// Concrete implementations: CsrMatrix (general sparsity) and
 /// StencilOperator7 (matrix-free 7-point stencil on a structured grid).
 /// Everything a solver or an SpMV-based preconditioner needs is virtual
-/// here; preconditioners that require explicit sparsity (SSOR, ILU(0))
-/// downcast to CsrMatrix and fail with an actionable error otherwise.
+/// here; ILU(0) downcasts to StencilOperator7 or CsrMatrix, and SSOR to
+/// CsrMatrix, failing with an actionable error otherwise.
 #pragma once
 
 #include <cstddef>

@@ -11,20 +11,26 @@ namespace photherm::math {
 
 namespace {
 
-/// Inverted diagonal with the actionable guard the Krylov stack relies on:
-/// a zero diagonal would divide to inf and a negative one silently breaks
-/// the SPD preconditioners, and either surfaces much later as a cryptic CG
+/// The actionable guard the Krylov stack relies on: a zero diagonal would
+/// divide to inf and a negative one silently breaks the SPD
+/// preconditioners, and either surfaces much later as a cryptic CG
 /// non-convergence. Fail at construction, naming the row.
-Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
-  Vector inv_diag = a.diagonal();
-  for (std::size_t i = 0; i < inv_diag.size(); ++i) {
-    if (!(inv_diag[i] > 0.0)) {
+void require_positive_diagonal(const Vector& diag, const char* who) {
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    if (!(diag[i] > 0.0)) {
       std::ostringstream os;
-      os << who << ": non-positive diagonal entry " << inv_diag[i] << " at row " << i
+      os << who << ": non-positive diagonal entry " << diag[i] << " at row " << i
          << " (the operator must be SPD; check the assembly feeding this solve)";
       throw Error(os.str());
     }
-    inv_diag[i] = 1.0 / inv_diag[i];
+  }
+}
+
+Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
+  Vector inv_diag = a.diagonal();
+  require_positive_diagonal(inv_diag, who);
+  for (double& d : inv_diag) {
+    d = 1.0 / d;
   }
   return inv_diag;
 }
@@ -44,6 +50,18 @@ void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t thread
     return;
   }
   util::parallel_for(r.size(), util::kKernelGrain, body, threads);
+}
+
+/// The CSR matrix behind `a`, for the preconditioners that walk explicit
+/// sparsity; any other operator is an actionable error.
+const CsrMatrix& csr_form(const LinearOperator& a, PreconditionerKind kind) {
+  const auto* csr = dynamic_cast<const CsrMatrix*>(&a);
+  if (csr == nullptr) {
+    throw Error(std::string(to_string(kind)) +
+                " preconditioning needs explicit CSR sparsity; the matrix-free stencil path "
+                "supports identity, jacobi, ilu0 and chebyshev");
+  }
+  return *csr;
 }
 
 }  // namespace
@@ -190,6 +208,106 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
   }
 }
 
+StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
+    : sy_(a.nx()),
+      sz_(a.nx() * a.ny()),
+      inv_pivot_(a.rows()),
+      west_(a.west()),
+      east_(a.east()),
+      south_(a.south()),
+      north_(a.north()),
+      down_(a.down()),
+      up_(a.up()) {
+  const Vector& diag = a.diag();
+  require_positive_diagonal(diag, "ILU(0) preconditioner");
+  // Pivots first, with the same division and subtraction order as the CSR
+  // IKJ factor; a missing neighbour's coefficient is zero and subtracts 0.
+  // They live in inv_pivot_ until the scaling pass below inverts them.
+  Vector& pivot = inv_pivot_;
+  for (std::size_t i = 0; i < pivot.size(); ++i) {
+    double d = diag[i];
+    if (i >= sz_) {
+      d -= down_[i] / pivot[i - sz_] * up_[i - sz_];
+    }
+    if (i >= sy_) {
+      d -= south_[i] / pivot[i - sy_] * north_[i - sy_];
+    }
+    if (i >= 1) {
+      d -= west_[i] / pivot[i - 1] * east_[i - 1];
+    }
+    if (!(d > 0.0)) {
+      std::ostringstream os;
+      os << "ILU(0) produced a non-positive pivot " << d << " at row " << i;
+      throw Error(os.str());
+    }
+    pivot[i] = d;
+  }
+  // Scale every row by its reciprocal pivot, so each sweep step is one
+  // multiply-subtract on the value the previous step just wrote.
+  for (std::size_t i = 0; i < pivot.size(); ++i) {
+    const double inv = 1.0 / pivot[i];
+    inv_pivot_[i] = inv;
+    west_[i] *= inv;
+    east_[i] *= inv;
+    south_[i] *= inv;
+    north_[i] *= inv;
+    down_[i] *= inv;
+    up_[i] *= inv;
+  }
+}
+
+void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+  const std::size_t n = inv_pivot_.size();
+  PH_REQUIRE(r.size() == n, "ILU(0) apply: size mismatch");
+  telemetry::count("precond.ilu0.applies");
+  z.resize(n);
+  const std::size_t sy = sy_;
+  const std::size_t sz = sz_;
+
+  // Forward, (I + D^{-1} L_A) w = D^{-1} r with w in z. Only the first
+  // plane can reach below index 0; past it every neighbour read is in
+  // bounds, and a boundary cell's zero coefficient makes its wrapped read
+  // contribute 0. The term on the value just written comes last.
+  std::size_t i = 0;
+  for (; i < sz; ++i) {
+    double acc = r[i] * inv_pivot_[i];
+    if (i >= sy) {
+      acc -= south_[i] * z[i - sy];
+    }
+    if (i >= 1) {
+      acc -= west_[i] * z[i - 1];
+    }
+    z[i] = acc;
+  }
+  for (; i < n; ++i) {
+    double acc = r[i] * inv_pivot_[i];
+    acc -= down_[i] * z[i - sz];
+    acc -= south_[i] * z[i - sy];
+    acc -= west_[i] * z[i - 1];
+    z[i] = acc;
+  }
+
+  // Backward, (I + D^{-1} U_A) z = w in place; the last plane is guarded.
+  const std::size_t interior_end = n - sz;
+  for (i = n; i-- > interior_end;) {
+    double acc = z[i];
+    if (i + sy < n) {
+      acc -= north_[i] * z[i + sy];
+    }
+    if (i + 1 < n) {
+      acc -= east_[i] * z[i + 1];
+    }
+    z[i] = acc;
+  }
+  for (i = interior_end; i-- > 0;) {
+    double acc = z[i];
+    acc -= up_[i] * z[i + sz];
+    acc -= north_[i] * z[i + sy];
+    acc -= east_[i] * z[i + 1];
+    z[i] = acc;
+  }
+}
+
 ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
                                                  const ChebyshevSettings& settings)
     : a_(a.clone()),
@@ -309,19 +427,13 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
       return std::make_unique<JacobiPreconditioner>(a);
     case PreconditionerKind::kChebyshev:
       return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);
+    case PreconditionerKind::kIlu0:
+      if (const auto* stencil = dynamic_cast<const StencilOperator7*>(&a)) {
+        return std::make_unique<StencilIlu0Preconditioner>(*stencil);
+      }
+      return std::make_unique<Ilu0Preconditioner>(csr_form(a, kind));
     case PreconditionerKind::kSsor:
-    case PreconditionerKind::kIlu0: {
-      const auto* csr = dynamic_cast<const CsrMatrix*>(&a);
-      if (csr == nullptr) {
-        throw Error(std::string(to_string(kind)) +
-                    " preconditioning needs explicit CSR sparsity; the matrix-free stencil "
-                    "path supports identity, jacobi and chebyshev");
-      }
-      if (kind == PreconditionerKind::kSsor) {
-        return std::make_unique<SsorPreconditioner>(*csr);
-      }
-      return std::make_unique<Ilu0Preconditioner>(*csr);
-    }
+      return std::make_unique<SsorPreconditioner>(csr_form(a, kind));
   }
   throw Error("unknown preconditioner kind");
 }

@@ -1,8 +1,9 @@
 /// \file preconditioner.hpp
 /// \brief Preconditioners for the Krylov solvers: Jacobi, symmetric
-/// Gauss-Seidel (SSOR with omega=1), ILU(0) and a fixed-degree Chebyshev
-/// polynomial. The FVM conduction matrix is an SPD M-matrix, so ILU(0)
-/// exists and is stable without pivoting.
+/// Gauss-Seidel (SSOR with omega=1), ILU(0) — on CSR sparsity or natively
+/// on the 7-point stencil — and a fixed-degree Chebyshev polynomial. The
+/// FVM conduction matrix is an SPD M-matrix, so ILU(0) exists and is
+/// stable without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
 /// pointer into the caller's matrix — so rebuilding or destroying A after
@@ -18,6 +19,7 @@
 
 #include "math/csr_matrix.hpp"
 #include "math/linear_operator.hpp"
+#include "math/stencil_operator.hpp"
 
 namespace photherm::math {
 
@@ -28,8 +30,8 @@ class Preconditioner {
   /// `threads` as in vector_ops.hpp: 0 = util::concurrency(), 1 = serial;
   /// results are bit-identical for every value. The elementwise (Jacobi)
   /// and SpMV-based (Chebyshev) applies thread chunk-ordered; the
-  /// triangular-solve applies (SSOR, ILU(0)) are inherently sequential and
-  /// ignore the parameter.
+  /// triangular-solve applies (SSOR, both ILU(0) forms) are inherently
+  /// sequential and ignore the parameter.
   virtual void apply(const Vector& r, Vector& z, std::size_t threads = 0) const = 0;
 };
 
@@ -83,6 +85,31 @@ class Ilu0Preconditioner final : public Preconditioner {
   std::size_t n_ = 0;
 };
 
+/// ILU(0) of a 7-point stencil operator, with no CSR. The grid graph has no
+/// triangles, so ILU(0) creates no fill and leaves every off-diagonal
+/// entry alone: M = (D + L_A) D^{-1} (D + U_A), where L_A / U_A are the
+/// strictly lower / upper parts of A and only the pivots D change (Saad,
+/// Iterative Methods for Sparse Linear Systems, §10.3):
+///   d_i = a_ii - sum_{j in down, south, west} a_ij * a_ji / d_j,
+/// subtracted in that order — the column order of the CSR IKJ factor, so
+/// on the same coefficients the pivots equal Ilu0Preconditioner's bit for
+/// bit. Owns the reciprocal pivots and copies of the six off-diagonal
+/// streams, each row scaled by its reciprocal pivot: the apply solves
+/// (I + D^{-1} L_A) w = D^{-1} r, then (I + D^{-1} U_A) z = w, in place in
+/// z with one multiply-subtract per neighbour, using the stencil SpMV's
+/// split into guarded boundary planes and a branch-free interior. It
+/// allocates nothing.
+class StencilIlu0Preconditioner final : public Preconditioner {
+ public:
+  explicit StencilIlu0Preconditioner(const StencilOperator7& a);
+  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+
+ private:
+  std::size_t sy_ = 0;  ///< +-y neighbour offset (nx)
+  std::size_t sz_ = 0;  ///< +-z neighbour offset (nx * ny)
+  Vector inv_pivot_, west_, east_, south_, north_, down_, up_;
+};
+
 struct ChebyshevSettings {
   /// Chebyshev steps per apply; an apply costs `degree - 1` operator
   /// applications (plus elementwise work), so the polynomial in A has
@@ -133,9 +160,10 @@ enum class PreconditionerKind { kIdentity, kJacobi, kSsor, kIlu0, kChebyshev };
 const char* to_string(PreconditionerKind kind);
 PreconditionerKind preconditioner_kind_from_string(const std::string& name);
 
-/// Build a preconditioner of `kind` for `a`. SSOR and ILU(0) need explicit
-/// CSR sparsity; asking for them on a matrix-free operator (the stencil
-/// path) throws an Error naming the kinds that do work there.
+/// Build a preconditioner of `kind` for `a`. ILU(0) builds natively on a
+/// StencilOperator7 and on CSR sparsity otherwise. SSOR needs explicit CSR
+/// sparsity; asking for it on the stencil throws an Error naming the
+/// kinds that do work there.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& a,
                                                     const ChebyshevSettings& chebyshev = {});

@@ -77,6 +77,13 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     x.assign(n, 0.0);
     return {true, 0, 0.0, 0.0, {}};
   }
+  // An overflowed input is not a property of the matrix; name it before the
+  // iteration turns it into a NaN breakdown.
+  if (!std::isfinite(norm_b)) {
+    throw SolverError(
+        "CG: the right-hand side is not finite (||b|| overflowed or b holds inf/NaN); check "
+        "the power and boundary inputs feeding this solve");
+  }
 
   Vector r;
   a.apply(x, r, threads);
@@ -104,6 +111,11 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     }
     a.apply(p, ap, threads);
     const double p_ap = dot(p, ap, threads);
+    if (!std::isfinite(p_ap)) {
+      throw SolverError(
+          "CG breakdown: the iterate is not finite (p'Ap overflowed or is NaN); the initial "
+          "guess or right-hand side is too large to solve in double precision");
+    }
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = rz / p_ap;
     axpy(alpha, p, x, threads);

@@ -49,17 +49,19 @@ DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bc
 StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
                                const math::Vector* cell_conductivity = nullptr);
 
-/// Which operator representation the solvers iterate on.
+/// Which operator representation the steady solves iterate on.
 enum class OperatorKind {
   kCsr,      ///< explicit CSR sparsity; supports every preconditioner
-  kStencil,  ///< matrix-free 7-point stencil; identity/jacobi/chebyshev only
+  kStencil,  ///< matrix-free 7-point stencil; every preconditioner but ssor
 };
 
 const char* to_string(OperatorKind kind);
 
 struct SteadyStateOptions {
   math::SolverOptions solver;
-  OperatorKind operator_kind = OperatorKind::kCsr;
+  /// The stencil skips the CSR triplet sort in assembly and pairs with the
+  /// stencil-native ILU(0) (the default preconditioner).
+  OperatorKind operator_kind = OperatorKind::kStencil;
   SteadyStateOptions() {
     solver.rel_tolerance = 1e-10;
     // CG tracks a recursive residual; after many iterations (and across the

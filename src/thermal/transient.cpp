@@ -19,34 +19,20 @@ TransientStats operator+(const TransientStats& a, const TransientStats& b) {
 }
 
 namespace {
-math::CsrMatrix add_capacitance(const math::CsrMatrix& a, const math::Vector& capacitance,
-                                double dt) {
-  math::CsrBuilder builder(a.rows(), a.cols());
-  builder.reserve(a.nnz() + a.rows());
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      builder.add(r, col_idx[k], values[k]);
-    }
-    builder.add(r, r, capacitance[r] / dt);
-  }
-  return builder.build();
+StencilSystem assemble_checked(const std::shared_ptr<const mesh::RectilinearMesh>& mesh,
+                               const BoundarySet& bcs) {
+  PH_REQUIRE(mesh != nullptr, "TransientSolver: null mesh");
+  return assemble_stencil(*mesh, bcs);
 }
 }  // namespace
 
 TransientSolver::TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> mesh,
                                  const BoundarySet& bcs, const TransientOptions& options)
-    : mesh_(std::move(mesh)), options_(options) {
-  PH_REQUIRE(mesh_ != nullptr, "TransientSolver: null mesh");
+    : mesh_(std::move(mesh)),
+      options_(options),
+      system_(assemble_checked(mesh_, bcs)),
+      stepping_(system_.op) {
   PH_REQUIRE(options_.time_step > 0.0, "time step must be positive");
-  // The CSR system is assembled on both paths: system() is the public
-  // steady-reference API and its rhs/capacitance drive the stepping maths.
-  system_ = assemble(*mesh_, bcs);
-  if (options_.operator_kind == OperatorKind::kStencil) {
-    stencil_a_.emplace(assemble_stencil(*mesh_, bcs).op);
-  }
   rebuild_stepping();
   state_.assign(mesh_->cell_count(), 0.0);
   // Separate injected power from boundary wall terms so set_power_scale /
@@ -82,12 +68,10 @@ const ThermalField& TransientSolver::step() {
   if (options_.warm_start) {
     // state_ already has the system size, so CG keeps it as the initial
     // guess (solvers.hpp warm-start contract) — the previous step's field.
-    last_solve_ =
-        math::conjugate_gradient(stepping_operator(), rhs, state_, *precond_, options_.solver);
+    last_solve_ = math::conjugate_gradient(stepping_, rhs, state_, *precond_, options_.solver);
   } else {
     math::Vector x;  // empty -> CG starts from the zero vector
-    last_solve_ =
-        math::conjugate_gradient(stepping_operator(), rhs, x, *precond_, options_.solver);
+    last_solve_ = math::conjugate_gradient(stepping_, rhs, x, *precond_, options_.solver);
     state_ = std::move(x);
   }
   stats_.steps += 1;
@@ -124,27 +108,16 @@ void TransientSolver::set_time_step(double dt) {
 }
 
 void TransientSolver::rebuild_stepping() {
-  if (options_.operator_kind == OperatorKind::kStencil) {
-    // Diagonal-only shift: copy A's coefficient streams and add C/dt — no
-    // triplet sort, which is what makes adaptive-dt rebuilds cheap here.
-    math::Vector shift = system_.capacitance;
-    for (std::size_t i = 0; i < shift.size(); ++i) {
-      shift[i] /= options_.time_step;
-    }
-    stepping_stencil_.emplace(*stencil_a_);
-    stepping_stencil_->add_to_diagonal(shift);
-  } else {
-    stepping_matrix_ = add_capacitance(system_.matrix, system_.capacitance, options_.time_step);
+  // Diagonal-only shift: copy A's coefficient streams and add C/dt — no
+  // triplet sort, which is what makes adaptive-dt rebuilds cheap.
+  math::Vector shift = system_.capacitance;
+  for (std::size_t i = 0; i < shift.size(); ++i) {
+    shift[i] /= options_.time_step;
   }
-  precond_ = math::make_preconditioner(options_.solver.preconditioner, stepping_operator(),
+  stepping_ = system_.op;
+  stepping_.add_to_diagonal(shift);
+  precond_ = math::make_preconditioner(options_.solver.preconditioner, stepping_,
                                        options_.solver.chebyshev);
-}
-
-const math::LinearOperator& TransientSolver::stepping_operator() const {
-  if (stepping_stencil_.has_value()) {
-    return *stepping_stencil_;
-  }
-  return stepping_matrix_;
 }
 
 void TransientSolver::set_time(double time) {

@@ -16,13 +16,10 @@ namespace photherm::thermal {
 
 struct TransientOptions {
   double time_step = 1e-3;  ///< [s]
+  /// Per-step CG knobs. The stepping operator C/dt + A is always the
+  /// matrix-free stencil, so every preconditioner but ssor applies (asking
+  /// for ssor throws at construction).
   math::SolverOptions solver;
-  /// Representation of the stepping operator C/dt + A. The stencil form
-  /// skips the CSR triplet sort on every adaptive-dt rebuild (the diagonal
-  /// shift is one vector add) and runs the cheaper matrix-free SpMV; it
-  /// supports the identity/jacobi/chebyshev preconditioners (asking for
-  /// ssor/ilu0 throws at construction).
-  OperatorKind operator_kind = OperatorKind::kCsr;
   /// Seed each step's CG solve with the previous state. The stepping update
   /// (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the field a little per step,
   /// so the previous state is an excellent initial guess and cuts the
@@ -100,11 +97,11 @@ class TransientSolver {
   const math::Vector& power() const { return power_; }
 
   /// Change the step size; takes effect on the next step. Rebuilds the
-  /// stepping matrix C/dt + A (the only dt-dependent state) — the one
-  /// genuinely expensive part of a dt change, so adaptive stepping calls
-  /// this rarely (geometric growth) and never per step. Counted in
-  /// stats().reassemblies. The state, time, power and rhs split are
-  /// untouched; a no-op when `dt` already is the current step.
+  /// stepping operator C/dt + A (a copy of A plus a diagonal shift) and the
+  /// preconditioner cached with it — the only dt-dependent state, so
+  /// adaptive stepping calls this rarely (geometric growth) and never per
+  /// step. Counted in stats().reassemblies. The state, time, power and rhs
+  /// split are untouched; a no-op when `dt` already is the current step.
   void set_time_step(double dt);
   double time_step() const { return options_.time_step; }
 
@@ -122,25 +119,22 @@ class TransientSolver {
   /// Cumulative stepping statistics since construction.
   const TransientStats& stats() const { return stats_; }
 
-  /// The assembled steady-state system (operator A, rhs, capacitance) this
-  /// solver steps. Read-only; the timeline engine reuses it for the steady
-  /// settle reference instead of assembling the same scene twice.
-  const DiscreteSystem& system() const { return system_; }
+  /// The assembled steady-state system (stencil operator A, rhs,
+  /// capacitance) this solver steps. Read-only; the timeline engine reuses
+  /// it for the steady settle reference instead of assembling the same
+  /// scene twice.
+  const StencilSystem& system() const { return system_; }
 
  private:
   void refresh_field();
   /// Rebuild C/dt + A and the preconditioner cached with it for the current
   /// time step.
   void rebuild_stepping();
-  /// The operator step() iterates on (CSR or stencil form per options).
-  const math::LinearOperator& stepping_operator() const;
 
   std::shared_ptr<const mesh::RectilinearMesh> mesh_;
   TransientOptions options_;
-  DiscreteSystem system_;          ///< steady-state operator A and rhs q
-  math::CsrMatrix stepping_matrix_;  ///< C/dt + A (kCsr path)
-  std::optional<math::StencilOperator7> stencil_a_;        ///< A (kStencil path)
-  std::optional<math::StencilOperator7> stepping_stencil_;  ///< C/dt + A (kStencil path)
+  StencilSystem system_;            ///< steady-state operator A and rhs q
+  math::StencilOperator7 stepping_;  ///< C/dt + A
   /// Cached with the stepping operator and rebuilt only by set_time_step —
   /// never per solve (see TransientStats::preconditioner_builds).
   std::unique_ptr<math::Preconditioner> precond_;

@@ -77,7 +77,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   transient_options.time_step = dt_;
   transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
-  transient_options.operator_kind = options_.operator_kind;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_uniform_state(spec.design.package.t_ambient);
 
@@ -123,7 +122,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   transient_options.time_step = dt_;
   transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
-  transient_options.operator_kind = options_.operator_kind;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_state(thermal::ThermalField(mesh_, checkpoint.state));
   solver_->set_time(checkpoint.time);
@@ -218,7 +216,7 @@ void Playback::solve_steady_reference(const PowerTimeline& base_timeline) {
   // power it actually plays.
   const double duty = base_timeline.average_scale();
   const std::size_t n = mesh_->cell_count();
-  const thermal::DiscreteSystem& assembled = solver_->system();
+  const thermal::StencilSystem& assembled = solver_->system();
   math::Vector rhs(n);
   for (std::size_t i = 0; i < n; ++i) {
     rhs[i] = assembled.rhs[i] - mesh_->power(i) + base_power_[i] + duty * modulated_power_[i];
@@ -228,8 +226,8 @@ void Playback::solve_steady_reference(const PowerTimeline& base_timeline) {
   // change between the first pass and the tightened re-solve, so rebuilding
   // it there was pure waste.
   const auto reference_precond = math::make_preconditioner(
-      reference_options.preconditioner, assembled.matrix, reference_options.chebyshev);
-  math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, *reference_precond,
+      reference_options.preconditioner, assembled.op, reference_options.chebyshev);
+  math::conjugate_gradient(assembled.op, rhs, steady_reference_, *reference_precond,
                            reference_options);
 
   // Settle/CG tolerance guard: the reference's noise floor — its relative
@@ -252,7 +250,7 @@ void Playback::solve_steady_reference(const PowerTimeline& base_timeline) {
                 << "solver noise; tightening the reference solve from rel_tolerance "
                 << reference_options.rel_tolerance << " to " << tightened;
     reference_options.rel_tolerance = tightened;
-    math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, *reference_precond,
+    math::conjugate_gradient(assembled.op, rhs, steady_reference_, *reference_precond,
                              reference_options);
   }
   trace_.reference_tolerance = reference_options.rel_tolerance;

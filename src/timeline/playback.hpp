@@ -78,8 +78,6 @@ struct PlaybackOptions {
   /// Solver knobs for both the per-step solves and the steady reference.
   /// Defaults to TransientOptions' tolerances.
   math::SolverOptions solver = thermal::TransientOptions{}.solver;
-  /// Operator representation for the stepping solves (see TransientOptions).
-  thermal::OperatorKind operator_kind = thermal::OperatorKind::kCsr;
 
   /// Grow the time step while the field crawls (see file comment). Off by
   /// default: the fixed grid is what golden traces and time-resolution

@@ -114,8 +114,8 @@ TEST(GoldenFig9a, AverageTemperatureSweep) {
 }
 
 TEST(GoldenFig9a, AnchorsHoldOnStencilChebyshevPath) {
-  // The matrix-free stencil + Chebyshev solve path must reproduce the same
-  // golden anchors as the default CSR + ILU(0) path: the flag changes how
+  // The stencil + Chebyshev opt-in must reproduce the same golden anchors
+  // as the default stencil + ILU(0) path: the preconditioner changes how
   // the system is solved, never what it converges to.
   core::SweepOptions sweep_options;
   thermal::SteadyStateOptions solver;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -132,6 +135,34 @@ TEST(Solvers, CgRejectsIndefiniteMatrix) {
   const CsrMatrix a = builder.build();
   Vector x;
   EXPECT_THROW(conjugate_gradient(a, {1.0, 1.0}, x), Error);
+}
+
+/// An overflow is not a property of the matrix: CG must say the inputs are
+/// not finite instead of reporting a positive-definiteness breakdown.
+TEST(Solvers, CgNamesAnOverflowAsAnOverflow) {
+  const std::size_t n = 30;
+  const CsrMatrix a = laplacian(n);
+  const auto expect_not_finite = [&](const Vector& b, Vector x) {
+    try {
+      conjugate_gradient(a, b, x);
+      FAIL() << "expected SolverError";
+    } catch (const SolverError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("not finite"), std::string::npos) << what;
+      EXPECT_EQ(what.find("positive definite"), std::string::npos) << what;
+    }
+  };
+  // Every entry finite, ||b|| overflows.
+  expect_not_finite(Vector(n, 1e308), {});
+  Vector b_inf(n, 1.0);
+  b_inf[7] = std::numeric_limits<double>::infinity();
+  expect_not_finite(b_inf, {});
+  // A finite rhs with a warm start so large that p'Ap overflows.
+  Vector huge(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    huge[i] = i % 2 == 0 ? 1e300 : -1e300;
+  }
+  expect_not_finite(Vector(n, 1.0), huge);
 }
 
 TEST(Solvers, FailureThrowsWhenRequested) {

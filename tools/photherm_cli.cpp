@@ -69,7 +69,7 @@ int usage(std::ostream& os, int exit_code) {
         "                                           run the batch, emit CSV\n"
         "  play <suite> [--dt SEC] [--periods N] [--tol DEGC] [--until-settle]\n"
         "               [--adaptive] [--max-period-error REL] [--cold-start]\n"
-        "               [--stencil] [--precond NAME] [--summary] [--threads N]\n"
+        "               [--precond NAME] [--summary] [--threads N]\n"
         "               [--pause-after N --checkpoint FILE] [--resume FILE]\n"
         "               [--progress N] [--convergence]\n"
         "               [--trace FILE] [--metrics FILE] [-o FILE]\n"
@@ -250,7 +250,6 @@ int cmd_play(const std::vector<std::string>& args) {
   std::size_t pause_after = 0;
   std::optional<std::string> checkpoint_path;
   std::optional<std::string> resume_path;
-  bool explicit_precond = false;
   TelemetryArgs telemetry_args;
   timeline::PlaybackOptions playback;
 
@@ -263,12 +262,9 @@ int cmd_play(const std::vector<std::string>& args) {
           PH_REQUIRE(i + 1 < args.size(), std::string(what) + " needs a value");
           return args[++i];
         };
-        if (arg == "--stencil") {
-          playback.operator_kind = thermal::OperatorKind::kStencil;
-        } else if (arg == "--precond") {
+        if (arg == "--precond") {
           playback.solver.preconditioner =
               math::preconditioner_kind_from_string(value("--precond"));
-          explicit_precond = true;
         } else if (arg == "--dt") {
           playback.time_step = parse_double(value("--dt"), "--dt");
         } else if (arg == "--periods") {
@@ -307,11 +303,6 @@ int cmd_play(const std::vector<std::string>& args) {
              "--pause-after needs --checkpoint FILE to save the paused state");
   PH_REQUIRE(!checkpoint_path || pause_after > 0,
              "--checkpoint needs --pause-after N (when to pause)");
-  // The stencil path has no CSR sparsity, so the default ILU(0) cannot
-  // apply; pick its natural partner unless the user chose explicitly.
-  if (playback.operator_kind == thermal::OperatorKind::kStencil && !explicit_precond) {
-    playback.solver.preconditioner = math::PreconditionerKind::kChebyshev;
-  }
   telemetry_args.enable_if_requested();
 
   // Fixed-horizon by default (stop_on_settle off, 40 periods) so the CSV
