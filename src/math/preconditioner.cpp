@@ -149,7 +149,9 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
     }
   }
 
-  // IKJ-variant ILU(0) factorisation restricted to the pattern of A.
+  // IKJ-variant ILU(0) factorisation restricted to the pattern of A, with
+  // relaxed pivots: an update that lands outside row i's pattern is fill
+  // ILU(0) drops, and kIlu0Relaxation of it moves onto the pivot instead.
   std::vector<double> work_val(n_, 0.0);
   std::vector<std::int8_t> work_set(n_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -169,6 +171,8 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
         const std::size_t c = col_idx_[kk];
         if (work_set[c]) {
           work_val[c] -= lij * values_[kk];
+        } else {
+          work_val[i] -= kIlu0Relaxation * (lij * values_[kk]);
         }
       }
     }
@@ -221,19 +225,34 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
   const Vector& diag = a.diag();
   require_positive_diagonal(diag, "ILU(0) preconditioner");
   // Pivots first, with the same division and subtraction order as the CSR
-  // IKJ factor; a missing neighbour's coefficient is zero and subtracts 0.
-  // They live in inv_pivot_ until the scaling pass below inverts them.
+  // IKJ factor: each lower neighbour j (down, south, west) contributes its
+  // upper entries east, north, up in that order, the one landing on i in
+  // full and the other two, fill ILU(0) drops, scaled by kIlu0Relaxation.
+  // A missing neighbour's coefficient is zero and subtracts 0. The pivots
+  // live in inv_pivot_ until the scaling pass below inverts them.
   Vector& pivot = inv_pivot_;
   for (std::size_t i = 0; i < pivot.size(); ++i) {
     double d = diag[i];
     if (i >= sz_) {
-      d -= down_[i] / pivot[i - sz_] * up_[i - sz_];
+      const std::size_t j = i - sz_;
+      const double l = down_[i] / pivot[j];
+      d -= kIlu0Relaxation * (l * east_[j]);
+      d -= kIlu0Relaxation * (l * north_[j]);
+      d -= l * up_[j];
     }
     if (i >= sy_) {
-      d -= south_[i] / pivot[i - sy_] * north_[i - sy_];
+      const std::size_t j = i - sy_;
+      const double l = south_[i] / pivot[j];
+      d -= kIlu0Relaxation * (l * east_[j]);
+      d -= l * north_[j];
+      d -= kIlu0Relaxation * (l * up_[j]);
     }
     if (i >= 1) {
-      d -= west_[i] / pivot[i - 1] * east_[i - 1];
+      const std::size_t j = i - 1;
+      const double l = west_[i] / pivot[j];
+      d -= l * east_[j];
+      d -= kIlu0Relaxation * (l * north_[j]);
+      d -= kIlu0Relaxation * (l * up_[j]);
     }
     if (!(d > 0.0)) {
       std::ostringstream os;

@@ -9,6 +9,33 @@
 
 namespace photherm::math {
 
+namespace {
+
+/// Branch-free interior rows: y[k] = the seven coefficient * neighbour
+/// products of row k, summed in the fixed down..up order. Each x operand is
+/// x pre-offset by its neighbour's stride, so every stream is read at the
+/// same index k and the loop vectorizes; rows are independent lanes, so
+/// each row's sum rounds exactly as in the scalar loop.
+void interior_rows(std::size_t count, const double* __restrict down, const double* __restrict south,
+                   const double* __restrict west, const double* __restrict diag,
+                   const double* __restrict east, const double* __restrict north,
+                   const double* __restrict up, const double* x_down, const double* x_south,
+                   const double* x_west, const double* x_self, const double* x_east,
+                   const double* x_north, const double* x_up, double* __restrict y) {
+  for (std::size_t k = 0; k < count; ++k) {
+    double acc = down[k] * x_down[k];
+    acc += south[k] * x_south[k];
+    acc += west[k] * x_west[k];
+    acc += diag[k] * x_self[k];
+    acc += east[k] * x_east[k];
+    acc += north[k] * x_north[k];
+    acc += up[k] * x_up[k];
+    y[k] = acc;
+  }
+}
+
+}  // namespace
+
 StencilOperator7::StencilOperator7(std::size_t nx, std::size_t ny, std::size_t nz)
     : nx_(nx), ny_(ny), nz_(nz), n_(nx * ny * nz) {
   PH_REQUIRE(nx > 0 && ny > 0 && nz > 0, "stencil grid dimensions must be positive");
@@ -52,15 +79,13 @@ void StencilOperator7::apply(const Vector& x, Vector& y, std::size_t threads) co
     }
     // Branch-free interior: every neighbour index is in bounds, and the
     // accumulation order matches guarded_row exactly.
-    for (; i < end && i < interior_end; ++i) {
-      double acc = down_[i] * x[i - sz];
-      acc += south_[i] * x[i - sy];
-      acc += west_[i] * x[i - 1];
-      acc += diag_[i] * x[i];
-      acc += east_[i] * x[i + 1];
-      acc += north_[i] * x[i + sy];
-      acc += up_[i] * x[i + sz];
-      y[i] = acc;
+    const std::size_t interior_stop = std::min(end, interior_end);
+    if (i < interior_stop) {
+      const double* xi = x.data() + i;
+      interior_rows(interior_stop - i, down_.data() + i, south_.data() + i, west_.data() + i,
+                    diag_.data() + i, east_.data() + i, north_.data() + i, up_.data() + i, xi - sz,
+                    xi - sy, xi - 1, xi, xi + 1, xi + sy, xi + sz, y.data() + i);
+      i = interior_stop;
     }
     for (; i < end; ++i) {
       y[i] = guarded_row(i);

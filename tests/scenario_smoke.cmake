@@ -4,7 +4,9 @@
 # twice (serial + cold vs threaded + cached), require the two CSVs to be
 # bit-identical, then compare against the checked-in golden CSV within a
 # numeric tolerance (absorbs cross-platform floating-point drift while
-# still catching real regressions).
+# still catching real regressions). The serial leg also writes metrics:
+# `--threads 1` must bound every parallel region, solver kernels included,
+# so the pool must never have been asked to run a job.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -37,10 +39,20 @@ endfunction()
 run_cli(expand builtin:smoke -o ${WORK_DIR}/suite.scn)
 run_cli_expect_stderr(
     "event=batch_run scenarios=[0-9]+ global_solves=[0-9]+ cache_hits=0"
-    run ${WORK_DIR}/suite.scn --threads 1 --no-cache -o ${WORK_DIR}/serial.csv)
+    run ${WORK_DIR}/suite.scn --threads 1 --no-cache -o ${WORK_DIR}/serial.csv
+    --metrics ${WORK_DIR}/serial_metrics.csv)
 run_cli_expect_stderr(
     "event=batch_run scenarios=[0-9]+ global_solves=[0-9]+ cache_hits=[0-9]+"
     run ${WORK_DIR}/suite.scn --threads 4 -o ${WORK_DIR}/threaded.csv)
+
+file(READ ${WORK_DIR}/serial_metrics.csv serial_metrics)
+if(NOT serial_metrics MATCHES "# threads=1\n")
+  message(FATAL_ERROR "the --threads 1 manifest does not record threads=1")
+endif()
+if(NOT serial_metrics MATCHES "\npool\\.queue_wait,timer,0,")
+  message(FATAL_ERROR "--threads 1 still dispatched parallel regions to the pool "
+                      "(pool.queue_wait observations in serial_metrics.csv)")
+endif()
 
 file(READ ${WORK_DIR}/serial.csv serial_csv)
 file(READ ${WORK_DIR}/threaded.csv threaded_csv)

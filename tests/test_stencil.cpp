@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "math/preconditioner.hpp"
 #include "math/solvers.hpp"
@@ -93,19 +94,31 @@ TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
 }
 
 TEST(Stencil, FromCsrAppliesBitIdenticallyToCsr) {
-  const auto mesh = heated_mesh(80e-6, 90e-6);
-  const thermal::DiscreteSystem csr = thermal::assemble(mesh, all_faces_bcs());
-  const StencilOperator7 op =
-      StencilOperator7::from_csr(csr.matrix, mesh.nx(), mesh.ny(), mesh.nz());
-
   // Same values, same ascending-column accumulation order -> the matrix-free
-  // kernel reproduces the CSR SpMV exactly, not just approximately.
-  const Vector x = random_vector(mesh.cell_count(), 11);
-  Vector y_csr, y_stencil;
-  csr.matrix.apply(x, y_csr, 1);
-  op.apply(x, y_stencil, 1);
-  EXPECT_EQ(y_csr, y_stencil);
-  EXPECT_EQ(csr.matrix.diagonal(), op.diagonal());
+  // kernel reproduces the CSR SpMV exactly, not just approximately. The
+  // large mesh exceeds kSerialCutoff and its plane size does not divide
+  // kKernelGrain, so at 2 threads the interior kernel also runs in chunks
+  // that begin and end mid-plane.
+  const auto small = heated_mesh(80e-6, 90e-6);
+  const auto large = heated_mesh(20e-6, 25e-6);
+  ASSERT_GT(large.cell_count(), util::kSerialCutoff);
+  ASSERT_NE(util::kKernelGrain % (large.nx() * large.ny()), 0u);
+  for (const mesh::RectilinearMesh* mesh : {&small, &large}) {
+    SCOPED_TRACE(testing::Message() << mesh->nx() << "x" << mesh->ny() << "x" << mesh->nz());
+    const thermal::DiscreteSystem csr = thermal::assemble(*mesh, all_faces_bcs());
+    const StencilOperator7 op =
+        StencilOperator7::from_csr(csr.matrix, mesh->nx(), mesh->ny(), mesh->nz());
+    EXPECT_EQ(csr.matrix.diagonal(), op.diagonal());
+
+    const Vector x = random_vector(mesh->cell_count(), 11);
+    Vector y_csr;
+    csr.matrix.apply(x, y_csr, 1);
+    for (const std::size_t threads : {1u, 2u}) {
+      Vector y_stencil;
+      op.apply(x, y_stencil, threads);
+      EXPECT_EQ(y_csr, y_stencil) << threads << " threads";
+    }
+  }
 }
 
 TEST(Stencil, ToCsrRoundTripIsExact) {
@@ -426,6 +439,78 @@ TEST(StencilIlu0, MatchesCsrIlu0OnTheSameCoefficients) {
   }
   for (std::size_t i = 0; i < t_csr.size(); ++i) {
     ASSERT_NEAR(t_stencil[i], t_csr[i], 1e-12 * scale) << "cell " << i;
+  }
+}
+
+TEST(StencilIlu0, MatchesADenseRelaxedIluFactor) {
+  // Textbook RILU, eliminated densely in right-looking (KIJ) order: every
+  // update that lands outside A's sparsity pattern moves onto the row's
+  // diagonal, scaled by kIlu0Relaxation. Nothing here shares code or loop
+  // order with either production factor.
+  const auto mesh = heated_mesh(0.4e-3, 70e-6);
+  ASSERT_GE(mesh.nx(), 3u);
+  ASSERT_GE(mesh.ny(), 3u);
+  ASSERT_GE(mesh.nz(), 3u);
+  const thermal::DiscreteSystem csr = thermal::assemble(mesh, all_faces_bcs());
+  const StencilOperator7 op =
+      StencilOperator7::from_csr(csr.matrix, mesh.nx(), mesh.ny(), mesh.nz());
+  const std::size_t n = mesh.cell_count();
+
+  std::vector<std::vector<double>> lu(n, std::vector<double>(n, 0.0));
+  std::vector<std::vector<bool>> pattern(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = csr.matrix.row_ptr()[i]; k < csr.matrix.row_ptr()[i + 1]; ++k) {
+      lu[i][csr.matrix.col_idx()[k]] = csr.matrix.values()[k];
+      pattern[i][csr.matrix.col_idx()[k]] = true;
+    }
+  }
+  std::size_t relaxed_updates = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (!pattern[i][k]) {
+        continue;
+      }
+      lu[i][k] /= lu[k][k];
+      for (std::size_t j = k + 1; j < n; ++j) {
+        const double update = lu[i][k] * lu[k][j];
+        if (update == 0.0) {
+          continue;
+        }
+        if (pattern[i][j]) {
+          lu[i][j] -= update;
+        } else {
+          lu[i][i] -= kIlu0Relaxation * update;
+          ++relaxed_updates;
+        }
+      }
+    }
+  }
+  EXPECT_GT(relaxed_updates, 0u);
+
+  // z = U^{-1} L^{-1} r with the dense factors.
+  const Vector r = random_vector(n, 47);
+  Vector z_dense = r;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      z_dense[i] -= lu[i][j] * z_dense[j];
+    }
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      z_dense[i] -= lu[i][j] * z_dense[j];
+    }
+    z_dense[i] /= lu[i][i];
+  }
+
+  Vector z_stencil;
+  StencilIlu0Preconditioner(op).apply(r, z_stencil);
+  double scale = 0.0;
+  for (double z : z_dense) {
+    scale = std::max(scale, std::abs(z));
+  }
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(z_stencil[i], z_dense[i], 1e-12 * scale) << "row " << i;
   }
 }
 

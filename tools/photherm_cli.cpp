@@ -139,6 +139,12 @@ CommonArgs parse_common(
     }
   }
   PH_REQUIRE(!parsed.suite.empty(), command + " needs a <suite> argument");
+  // --threads bounds every parallel region, the solver kernels and the
+  // per-ONI window loops included, so it sets the process-wide budget
+  // before any work starts.
+  if (parsed.threads != 0) {
+    util::set_concurrency(parsed.threads);
+  }
   return parsed;
 }
 
@@ -189,7 +195,7 @@ void set_run_manifest(const char* command, const CommonArgs& parsed,
   scenarios << scenario_count;
   telemetry::set_manifest("scenario_count", scenarios.str());
   std::ostringstream threads;
-  threads << (parsed.threads != 0 ? parsed.threads : util::concurrency());
+  threads << util::concurrency();
   telemetry::set_manifest("threads", threads.str());
 }
 
