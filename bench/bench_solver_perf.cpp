@@ -1,9 +1,10 @@
 /// Timing benchmarks (google-benchmark) of the numerical core: sparse
-/// matrix-vector products (CSR and matrix-free stencil), the preconditioned
-/// solvers swept over preconditioner kind x operator kind, assembly, and the
-/// transient hot path: repeated warm-started solves against a fixed stepping
-/// operator, where the preconditioner caching and the Chebyshev rebuild
-/// economics actually show up.
+/// matrix-vector products (CSR and matrix-free stencil), the stencil ILU(0)
+/// apply, the preconditioned solvers swept over preconditioner kind x
+/// operator kind, assembly, and the transient hot path: repeated
+/// warm-started solves against a fixed stepping operator, where the
+/// preconditioner caching and the Chebyshev rebuild economics actually show
+/// up.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 #include "math/solvers.hpp"
 #include "math/stencil_operator.hpp"
 #include "thermal/fvm.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace photherm;
 
@@ -77,6 +79,27 @@ void BM_SpMVStencil(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * systems.csr.matrix.nnz()));
 }
 BENCHMARK(BM_SpMVStencil)->Arg(16)->Arg(32)->Arg(64);
+
+/// The stencil ILU(0) apply alone at 1 and 2 threads. The mesh is past
+/// util::kSerialCutoff, so at 2 threads both triangular sweeps run as
+/// y-band plane pipelines; z is bit-identical either way.
+void BM_Ilu0Apply(benchmark::State& state) {
+  const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
+  if (systems.cells < util::kSerialCutoff) {
+    state.SkipWithError("mesh below util::kSerialCutoff: the sweeps would not band");
+    return;
+  }
+  const auto threads = static_cast<std::size_t>(state.range(1));
+  const math::StencilIlu0Preconditioner ilu0(systems.stencil.op);
+  const math::Vector r(systems.cells, 1.0);
+  math::Vector z;
+  for (auto _ : state) {
+    ilu0.apply(r, z, threads);
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.counters["cells"] = static_cast<double>(systems.cells);
+}
+BENCHMARK(BM_Ilu0Apply)->Args({64, 1})->Args({64, 2});
 
 /// CG sweep: every preconditioner kind on both operator forms (SSOR needs
 /// explicit sparsity, so it runs on CSR only). The label names the

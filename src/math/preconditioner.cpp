@@ -1,11 +1,15 @@
 #include "math/preconditioner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "util/error.hpp"
 #include "util/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace photherm::math {
 
@@ -51,6 +55,163 @@ void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t thread
   }
   util::parallel_for(r.size(), util::kKernelGrain, body, threads);
 }
+
+/// One band's progress through a banded ILU(0) apply, alone on its cache
+/// line so that publishing it does not invalidate the line another band
+/// is polling.
+struct alignas(64) PlaneCounter {
+  std::atomic<std::size_t> planes{0};
+
+  void publish(std::size_t count) { planes.store(count, std::memory_order_release); }
+
+  /// Block until the band has published `count` planes. A neighbouring
+  /// band usually lags by a fraction of a plane, so spin briefly first;
+  /// then yield, so a descheduled neighbour gets its CPU back.
+  void wait_for(std::size_t count) const {
+    constexpr int kSpinsBeforeYield = 1024;
+    for (int spins = 0; planes.load(std::memory_order_acquire) < count;) {
+      if (spins < kSpinsBeforeYield) {
+        ++spins;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }
+};
+
+/// The stencil ILU(0) factor's streams and one apply's r and z, for the
+/// row kernels below.
+struct IluRows {
+  std::size_t nx, ny, nz;
+  const double *inv_pivot, *west, *east, *south, *north, *down, *up;
+  const double* r;
+  double* z;
+
+  void forward(std::size_t k, std::size_t j0, std::size_t j1) const;
+  void backward(std::size_t k, std::size_t j0, std::size_t j1) const;
+};
+
+/// Forward-sweep row starting at cell i: w = D^{-1} r minus the scaled
+/// lower neighbours, subtracted down, south, west. kDown / kSouth say
+/// whether the row has a plane / row below it; without one the term is
+/// skipped rather than multiplied by its zero coefficient, so the kernel
+/// reads nothing outside its own row, the row below and the plane below.
+/// The west term takes the value just written from a register.
+template <bool kDown, bool kSouth>
+void forward_row(const IluRows& f, std::size_t i) {
+  const double* r = f.r + i;
+  const double* inv_pivot = f.inv_pivot + i;
+  const double* down = f.down + i;
+  const double* south = f.south + i;
+  const double* west = f.west + i;
+  double* z = f.z + i;
+  const std::size_t nx = f.nx;
+  const double* z_down = z - (kDown ? nx * f.ny : 0);
+  const double* z_south = z - (kSouth ? nx : 0);
+  double prev = 0.0;
+  for (std::size_t x = 0; x < nx; ++x) {
+    double acc = r[x] * inv_pivot[x];
+    if constexpr (kDown) {
+      acc -= down[x] * z_down[x];
+    }
+    if constexpr (kSouth) {
+      acc -= south[x] * z_south[x];
+    }
+    if (x > 0) {
+      acc -= west[x] * prev;
+    }
+    z[x] = acc;
+    prev = acc;
+  }
+}
+
+/// Backward-sweep row starting at cell i, the mirror image: x descending,
+/// subtracting up, north, east from the forward result in place.
+template <bool kUp, bool kNorth>
+void backward_row(const IluRows& f, std::size_t i) {
+  const double* up = f.up + i;
+  const double* north = f.north + i;
+  const double* east = f.east + i;
+  double* z = f.z + i;
+  const std::size_t nx = f.nx;
+  const double* z_up = z + (kUp ? nx * f.ny : 0);
+  const double* z_north = z + (kNorth ? nx : 0);
+  double next = 0.0;
+  for (std::size_t x = nx; x-- > 0;) {
+    double acc = z[x];
+    if constexpr (kUp) {
+      acc -= up[x] * z_up[x];
+    }
+    if constexpr (kNorth) {
+      acc -= north[x] * z_north[x];
+    }
+    if (x + 1 < nx) {
+      acc -= east[x] * next;
+    }
+    z[x] = acc;
+    next = acc;
+  }
+}
+
+/// Forward sweep over y-rows [j0, j1) of plane k.
+void IluRows::forward(std::size_t k, std::size_t j0, std::size_t j1) const {
+  for (std::size_t j = j0; j < j1; ++j) {
+    const std::size_t i = (k * ny + j) * nx;
+    if (k == 0) {
+      j == 0 ? forward_row<false, false>(*this, i) : forward_row<false, true>(*this, i);
+    } else {
+      j == 0 ? forward_row<true, false>(*this, i) : forward_row<true, true>(*this, i);
+    }
+  }
+}
+
+/// Backward sweep over y-rows [j0, j1) of plane k, top row first.
+void IluRows::backward(std::size_t k, std::size_t j0, std::size_t j1) const {
+  for (std::size_t j = j1; j-- > j0;) {
+    const std::size_t i = (k * ny + j) * nx;
+    if (k + 1 == nz) {
+      j + 1 == ny ? backward_row<false, false>(*this, i) : backward_row<false, true>(*this, i);
+    } else {
+      j + 1 == ny ? backward_row<true, false>(*this, i) : backward_row<true, true>(*this, i);
+    }
+  }
+}
+
+/// One apply's sweeps as plane pipelines over `bands` contiguous y-bands:
+/// band b owns y-rows [first_row(b), first_row(b + 1)) of every plane.
+/// done[b] counts the planes band b has finished, forward sweep then
+/// backward, so one zeroing serves both: forward plane k is done at k + 1,
+/// backward plane k at 2 nz - k. A band reads a neighbour band's rows only
+/// after the acquire load that saw them published. The backward sweep runs
+/// band bands - 1 - c as chunk c, so the band that leads is claimed first.
+struct BandedSweeps {
+  const IluRows& rows;
+  std::size_t bands;
+  std::array<PlaneCounter, util::kMaxThreads> done{};
+
+  std::size_t first_row(std::size_t b) const { return b * rows.ny / bands; }
+
+  void forward(std::size_t b) {
+    for (std::size_t k = 0; k < rows.nz; ++k) {
+      if (b > 0) {
+        done[b - 1].wait_for(k + 1);
+      }
+      rows.forward(k, first_row(b), first_row(b + 1));
+      done[b].publish(k + 1);
+    }
+  }
+
+  void backward(std::size_t b) {
+    const std::size_t nz = rows.nz;
+    for (std::size_t k = nz; k-- > 0;) {
+      if (b + 1 < bands) {
+        done[b + 1].wait_for(2 * nz - k);
+      }
+      rows.backward(k, first_row(b), first_row(b + 1));
+      done[b].publish(2 * nz - k);
+    }
+  }
+};
 
 /// The CSR matrix behind `a`, for the preconditioners that walk explicit
 /// sparsity; any other operator is an actionable error.
@@ -213,8 +374,9 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
 }
 
 StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
-    : sy_(a.nx()),
-      sz_(a.nx() * a.ny()),
+    : nx_(a.nx()),
+      ny_(a.ny()),
+      nz_(a.nz()),
       inv_pivot_(a.rows()),
       west_(a.west()),
       east_(a.east()),
@@ -230,18 +392,20 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
   // full and the other two, fill ILU(0) drops, scaled by kIlu0Relaxation.
   // A missing neighbour's coefficient is zero and subtracts 0. The pivots
   // live in inv_pivot_ until the scaling pass below inverts them.
+  const std::size_t sy = nx_;
+  const std::size_t sz = nx_ * ny_;
   Vector& pivot = inv_pivot_;
   for (std::size_t i = 0; i < pivot.size(); ++i) {
     double d = diag[i];
-    if (i >= sz_) {
-      const std::size_t j = i - sz_;
+    if (i >= sz) {
+      const std::size_t j = i - sz;
       const double l = down_[i] / pivot[j];
       d -= kIlu0Relaxation * (l * east_[j]);
       d -= kIlu0Relaxation * (l * north_[j]);
       d -= l * up_[j];
     }
-    if (i >= sy_) {
-      const std::size_t j = i - sy_;
+    if (i >= sy) {
+      const std::size_t j = i - sy;
       const double l = south_[i] / pivot[j];
       d -= kIlu0Relaxation * (l * east_[j]);
       d -= l * north_[j];
@@ -275,56 +439,33 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
   }
 }
 
-void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
   const std::size_t n = inv_pivot_.size();
   PH_REQUIRE(r.size() == n, "ILU(0) apply: size mismatch");
   telemetry::count("precond.ilu0.applies");
   z.resize(n);
-  const std::size_t sy = sy_;
-  const std::size_t sz = sz_;
-
-  // Forward, (I + D^{-1} L_A) w = D^{-1} r with w in z. Only the first
-  // plane can reach below index 0; past it every neighbour read is in
-  // bounds, and a boundary cell's zero coefficient makes its wrapped read
-  // contribute 0. The term on the value just written comes last.
-  std::size_t i = 0;
-  for (; i < sz; ++i) {
-    double acc = r[i] * inv_pivot_[i];
-    if (i >= sy) {
-      acc -= south_[i] * z[i - sy];
+  const IluRows rows{nx_,          ny_,          nz_,          inv_pivot_.data(),
+                     west_.data(), east_.data(), south_.data(), north_.data(),
+                     down_.data(), up_.data(),   r.data(),      z.data()};
+  const std::size_t bands =
+      n < util::kSerialCutoff ? 1 : std::min(util::region_executors(threads), ny_);
+  if (bands == 1) {
+    for (std::size_t k = 0; k < nz_; ++k) {
+      rows.forward(k, 0, ny_);
     }
-    if (i >= 1) {
-      acc -= west_[i] * z[i - 1];
+    for (std::size_t k = nz_; k-- > 0;) {
+      rows.backward(k, 0, ny_);
     }
-    z[i] = acc;
+    return;
   }
-  for (; i < n; ++i) {
-    double acc = r[i] * inv_pivot_[i];
-    acc -= down_[i] * z[i - sz];
-    acc -= south_[i] * z[i - sy];
-    acc -= west_[i] * z[i - 1];
-    z[i] = acc;
-  }
-
-  // Backward, (I + D^{-1} U_A) z = w in place; the last plane is guarded.
-  const std::size_t interior_end = n - sz;
-  for (i = n; i-- > interior_end;) {
-    double acc = z[i];
-    if (i + sy < n) {
-      acc -= north_[i] * z[i + sy];
-    }
-    if (i + 1 < n) {
-      acc -= east_[i] * z[i + 1];
-    }
-    z[i] = acc;
-  }
-  for (i = interior_end; i-- > 0;) {
-    double acc = z[i];
-    acc -= up_[i] * z[i + sz];
-    acc -= north_[i] * z[i + sy];
-    acc -= east_[i] * z[i + 1];
-    z[i] = acc;
-  }
+  // One chunk per band. Each waits only on the chunk claimed just before
+  // it, which the pool's index-ordered claiming guarantees progress for.
+  BandedSweeps sweeps{rows, bands};
+  util::parallel_for(
+      bands, 1, [&sweeps](std::size_t b, std::size_t) { sweeps.forward(b); }, bands);
+  util::parallel_for(
+      bands, 1, [&sweeps](std::size_t c, std::size_t) { sweeps.backward(sweeps.bands - 1 - c); },
+      bands);
 }
 
 ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,

@@ -29,9 +29,10 @@ class Preconditioner {
   virtual ~Preconditioner() = default;
   /// `threads` as in vector_ops.hpp: 0 = util::concurrency(), 1 = serial;
   /// results are bit-identical for every value. The elementwise (Jacobi)
-  /// and SpMV-based (Chebyshev) applies thread chunk-ordered; the
-  /// triangular-solve applies (SSOR, both ILU(0) forms) are inherently
-  /// sequential and ignore the parameter.
+  /// and SpMV-based (Chebyshev) applies thread chunk-ordered, and the
+  /// stencil ILU(0) pipelines its triangular sweeps across y-bands of the
+  /// grid (see StencilIlu0Preconditioner). The CSR triangular solves (SSOR,
+  /// CSR ILU(0)) run in natural row order and ignore the parameter.
   virtual void apply(const Vector& r, Vector& z, std::size_t threads = 0) const = 0;
 };
 
@@ -116,17 +117,36 @@ class Ilu0Preconditioner final : public Preconditioner {
 /// factor is the exact LU. Owns the reciprocal pivots and copies of the six
 /// off-diagonal streams, each row scaled by its reciprocal pivot: the apply
 /// solves (I + D^{-1} L_A) w = D^{-1} r, then (I + D^{-1} U_A) z = w, in
-/// place in z with one multiply-subtract per neighbour, using the stencil
-/// SpMV's split into guarded boundary planes and a branch-free interior. It
-/// allocates nothing.
+/// place in z with one multiply-subtract per neighbour.
+///
+/// The apply sweeps one x-row at a time. Each row subtracts its neighbour
+/// terms in natural-order sequence (down, south, west forward; up, north,
+/// east backward) and skips exactly the products whose coefficient is
+/// structurally zero at the grid boundary: west at x = 0, south at y = 0,
+/// down at z = 0, and their mirror images backward. A skipped product would
+/// be ±0, so every nonzero entry of z equals the flat natural-order sweep's
+/// bit for bit.
+///
+/// Within one z-plane, rows couple only through their y-neighbours, so on
+/// meshes of at least util::kSerialCutoff cells the apply splits each
+/// plane's y-rows into B = min(util::region_executors(threads), ny)
+/// contiguous bands and runs each sweep as a plane pipeline (level
+/// scheduling, Saad ch. 11): band b starts plane k once band b-1 has
+/// finished it (band b+1 in the backward sweep), learned through a
+/// per-band plane counter. Every row performs the same operations at every
+/// B, so z is bit-identical at any thread count; B = 1 — one thread, a
+/// small mesh, or an apply inside a pool worker — is the serial path. The
+/// apply allocates nothing and keeps its counters on the stack, so
+/// concurrent applies on one object are safe.
 class StencilIlu0Preconditioner final : public Preconditioner {
  public:
   explicit StencilIlu0Preconditioner(const StencilOperator7& a);
   void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
 
  private:
-  std::size_t sy_ = 0;  ///< +-y neighbour offset (nx)
-  std::size_t sz_ = 0;  ///< +-z neighbour offset (nx * ny)
+  std::size_t nx_ = 0;
+  std::size_t ny_ = 0;
+  std::size_t nz_ = 0;
   Vector inv_pivot_, west_, east_, south_, north_, down_, up_;
 };
 
@@ -152,8 +172,8 @@ struct ChebyshevSettings {
 /// D^{-1} A: z = p(D^{-1} A) D^{-1} r, with p chosen to approximate the
 /// inverse on [lambda_max / eig_ratio, lambda_max] and lambda_max bounded
 /// by the (deterministic, iteration-free) Gershgorin row sums. The apply
-/// needs nothing but SpMV + elementwise kernels, so unlike the triangular
-/// solves of SSOR/ILU(0) it threads chunk-ordered end to end, and its
+/// needs nothing but SpMV + elementwise kernels, so it threads
+/// chunk-ordered end to end with no sequential sweep at all, and its
 /// setup cost is one diagonal pass — exactly what the adaptive-dt
 /// reassembly path wants. Symmetric by construction
 /// (p(D^{-1}A) D^{-1} = D^{-1/2} p(D^{-1/2} A D^{-1/2}) D^{-1/2}), so CG

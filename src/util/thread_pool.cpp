@@ -230,6 +230,13 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+std::size_t region_executors(std::size_t threads) {
+  if (t_in_pool_worker) {
+    return 1;
+  }
+  return threads == 0 ? concurrency() : std::min(threads, kMaxThreads);
+}
+
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t threads) {

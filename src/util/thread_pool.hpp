@@ -61,6 +61,15 @@ class ThreadPool {
   /// rethrown on the caller after all chunks complete or drain. Calls from
   /// inside a pool worker run inline (serially) on that worker.
   ///
+  /// Progress contract: executors claim chunks from one cursor in index
+  /// order, a claimed chunk runs to completion on its executor, and inline
+  /// execution (one thread, one chunk, or nested) also runs the chunks in
+  /// index order. So a chunk may block until a lower-indexed chunk of the
+  /// same region has made progress — that chunk is already claimed and
+  /// running, or has finished — and the region still always completes. A
+  /// chunk must never wait on a higher-indexed one, which may not be
+  /// claimed until the waiter returns.
+  ///
   /// The pool holds a single job slot: results stay correct if two
   /// application threads issue top-level regions concurrently (each caller
   /// always drains its own job's cursor), but the later region takes the
@@ -87,10 +96,19 @@ class ThreadPool {
 /// consecutive indices; chunk boundaries depend only on `count` and
 /// `grain`, never on `threads`, so per-chunk reductions are reproducible
 /// across thread counts. `threads == 0` means `concurrency()`; `1` runs
-/// serially without touching the pool (same chunk boundaries).
+/// serially without touching the pool (same chunk boundaries). Chunks
+/// follow ThreadPool::run's progress contract: chunk c may wait on chunks
+/// below c, never above.
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t threads = 0);
+
+/// Executors a parallel region issued from the calling thread with
+/// `threads` would get: 1 inside a pool worker, where regions run inline,
+/// else `threads` resolved as in parallel_for (0 = concurrency()) and
+/// capped at kMaxThreads. For kernels whose work split, not their result,
+/// follows the executor count.
+std::size_t region_executors(std::size_t threads);
 
 /// Deterministic chunked reduction over `[0, count)`: `chunk_fn(begin, end)`
 /// produces one partial per chunk (chunk boundaries as in `parallel_for`),

@@ -1,14 +1,17 @@
 # CTest smoke run of the photherm_cli scenario driver, invoked as
-#   cmake -DPHOTHERM_CLI=... -DGOLDEN=... -DWORK_DIR=... -P scenario_smoke.cmake
+#   cmake -DPHOTHERM_CLI=... -DGOLDEN=... -DWORK_DIR=... -DSOURCE_DIR=...
+#         -P scenario_smoke.cmake
 # Flow: expand the builtin smoke suite to a scenario file, run that file
 # twice (serial + cold vs threaded + cached), require the two CSVs to be
 # bit-identical, then compare against the checked-in golden CSV within a
 # numeric tolerance (absorbs cross-platform floating-point drift while
 # still catching real regressions). The serial leg also writes metrics:
 # `--threads 1` must bound every parallel region, solver kernels included,
-# so the pool must never have been asked to run a job.
+# so the pool must never have been asked to run a job. A usage error must
+# name the failing check by its repository-relative path, not by the
+# configured source directory.
 
-foreach(var PHOTHERM_CLI GOLDEN WORK_DIR)
+foreach(var PHOTHERM_CLI GOLDEN WORK_DIR SOURCE_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "scenario_smoke.cmake needs -D${var}=...")
   endif()
@@ -62,3 +65,20 @@ if(NOT serial_csv STREQUAL threaded_csv)
 endif()
 
 run_cli(diff ${GOLDEN} ${WORK_DIR}/serial.csv --tol 1e-4)
+
+# `--threads` without a count trips a PH_REQUIRE in the CLI: the message
+# names the check as tools/photherm_cli.cpp:<line>, with no absolute path.
+execute_process(COMMAND ${PHOTHERM_CLI} run builtin:smoke --threads
+                RESULT_VARIABLE rv ERROR_VARIABLE err)
+if(rv EQUAL 0)
+  message(FATAL_ERROR "photherm_cli run builtin:smoke --threads succeeded without a count")
+endif()
+if(NOT err MATCHES "(^|[ :])tools/photherm_cli\\.cpp:[0-9]+: ")
+  message(FATAL_ERROR "the --threads usage error does not name tools/photherm_cli.cpp:<line>; "
+                      "got:\n${err}")
+endif()
+string(FIND "${err}" "${SOURCE_DIR}" source_dir_at)
+if(NOT source_dir_at EQUAL -1)
+  message(FATAL_ERROR "the --threads usage error leaks the source directory "
+                      "${SOURCE_DIR}; got:\n${err}")
+endif()

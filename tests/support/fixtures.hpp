@@ -10,7 +10,9 @@
 
 #include "core/design_space.hpp"
 #include "geometry/stack.hpp"
+#include "math/stencil_operator.hpp"
 #include "mesh/mesh.hpp"
+#include "util/rng.hpp"
 
 namespace photherm::fixtures {
 
@@ -68,6 +70,32 @@ inline core::OnocDesignSpec coarse_onoc_spec() {
   spec.oni_cell_xy = 20e-6;
   spec.oni_cell_z = 2e-6;
   return spec;
+}
+
+/// Random SPD M-matrix on an nx x ny x nz grid: symmetric negative
+/// couplings, zero toward missing neighbours, and a diagonal that
+/// dominates its row by 0.1.
+inline math::StencilOperator7 diagonally_dominant_stencil(std::size_t nx, std::size_t ny,
+                                                          std::size_t nz, std::uint64_t seed) {
+  math::StencilOperator7 op(nx, ny, nz);
+  Rng rng(seed);
+  const std::size_t sz = nx * ny;
+  for (std::size_t i = 0; i < op.rows(); ++i) {
+    if (i % nx != 0) {
+      op.west()[i] = op.east()[i - 1] = -rng.uniform(0.5, 1.5);
+    }
+    if ((i / nx) % ny != 0) {
+      op.south()[i] = op.north()[i - nx] = -rng.uniform(0.5, 1.5);
+    }
+    if (i >= sz) {
+      op.down()[i] = op.up()[i - sz] = -rng.uniform(0.5, 1.5);
+    }
+  }
+  for (std::size_t i = 0; i < op.rows(); ++i) {
+    op.diag()[i] = 0.1 - op.west()[i] - op.east()[i] - op.south()[i] - op.north()[i] -
+                   op.down()[i] - op.up()[i];
+  }
+  return op;
 }
 
 }  // namespace photherm::fixtures

@@ -6,7 +6,8 @@
 # well-formed Chrome trace-event JSON with labeled pool workers; the
 # metrics CSV must carry solver-iteration, cache-hit and per-scenario
 # wall-time rows. A cached `run` leg checks the cache-hit counters count
-# real hits, not just seeded zeros.
+# real hits, not just seeded zeros. Both formats' manifests name the
+# operator and preconditioner that ran, `play --precond` included.
 
 foreach(var PHOTHERM_CLI WORK_DIR)
   if(NOT DEFINED ${var})
@@ -66,6 +67,11 @@ require_match(${WORK_DIR}/trace1.json "\"build_type\":\"(debug|release)\""
               "the build type in the trace manifest")
 require_match(${WORK_DIR}/trace1.json "\"git_sha\":" "the git sha in the trace manifest")
 require_match(${WORK_DIR}/trace4.json "\"threads\":\"4\"" "the runtime thread count")
+foreach(trace trace1 trace4)
+  require_match(${WORK_DIR}/${trace}.json "\"operator\":\"stencil\"" "the operator manifest entry")
+  require_match(${WORK_DIR}/${trace}.json "\"preconditioner\":\"ilu0\""
+                "the preconditioner manifest entry")
+endforeach()
 
 # Metrics shape: the acceptance-criteria rows. Cache-hit rows are seeded
 # (play never touches BatchRunner), solver iterations and per-scenario wall
@@ -78,6 +84,9 @@ foreach(metrics metrics1 metrics4)
                 "the build type manifest entry")
   require_match(${WORK_DIR}/${metrics}.csv "# suite=builtin:transient"
                 "the suite manifest entry")
+  require_match(${WORK_DIR}/${metrics}.csv "# operator=stencil\n" "the operator manifest entry")
+  require_match(${WORK_DIR}/${metrics}.csv "# preconditioner=ilu0\n"
+                "the preconditioner manifest entry")
   require_match(${WORK_DIR}/${metrics}.csv "metric,kind,count,total,min,max,p50,p90,p99"
                 "the metrics header")
   require_match(${WORK_DIR}/${metrics}.csv
@@ -111,3 +120,18 @@ require_match(${WORK_DIR}/batch_metrics.csv
               "batch\\.scenario\\.wall,timer,[1-9][0-9]*" "batch wall-time observations")
 require_match(${WORK_DIR}/batch_trace.json
               "\"ph\":\"X\",\"name\":\"batch\\.scenario\"" "batch scenario spans")
+require_match(${WORK_DIR}/batch_metrics.csv "# operator=stencil\n" "the batch operator entry")
+require_match(${WORK_DIR}/batch_metrics.csv "# preconditioner=ilu0\n"
+              "the batch preconditioner entry")
+require_match(${WORK_DIR}/batch_trace.json "\"operator\":\"stencil\"" "the batch operator entry")
+require_match(${WORK_DIR}/batch_trace.json "\"preconditioner\":\"ilu0\""
+              "the batch preconditioner entry")
+
+# `play --precond` names the preconditioner it was given, in both formats.
+run_cli(play builtin:transient --dt 0.2 --periods 1 --precond chebyshev --threads 1
+        -o ${WORK_DIR}/chebyshev.csv --trace ${WORK_DIR}/chebyshev_trace.json
+        --metrics ${WORK_DIR}/chebyshev_metrics.csv)
+require_match(${WORK_DIR}/chebyshev_metrics.csv "# preconditioner=chebyshev\n"
+              "the --precond value in the metrics manifest")
+require_match(${WORK_DIR}/chebyshev_trace.json "\"preconditioner\":\"chebyshev\""
+              "the --precond value in the trace manifest")

@@ -187,6 +187,31 @@ TEST(ParallelSweep, ThreadedSolverIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(iters1, iters8);
   expect_bit_identical(x1, x2, "CG solution, 2 threads vs serial");
   expect_bit_identical(x1, x8, "CG solution, 8 threads vs serial");
+
+  // The production pairing: the stencil operator with ILU(0), whose sweeps
+  // run as y-band pipelines past kSerialCutoff at more than one thread.
+  const math::StencilOperator7 stencil = fixtures::diagonally_dominant_stencil(40, 30, 16, 11);
+  ASSERT_GE(stencil.rows(), util::kSerialCutoff);
+  math::Vector heat(stencil.rows());
+  for (double& v : heat) {
+    v = rng.uniform(0.0, 1.0);
+  }
+  const auto ilu0_solve_at = [&](std::size_t threads) {
+    math::Vector x;
+    math::SolverOptions options;
+    options.preconditioner = math::PreconditionerKind::kIlu0;
+    options.threads = threads;
+    const auto result = math::conjugate_gradient(stencil, heat, x, options);
+    EXPECT_TRUE(result.converged);
+    return std::make_pair(x, result.iterations);
+  };
+  const auto [t1, ilu_iters1] = ilu0_solve_at(1);
+  const auto [t2, ilu_iters2] = ilu0_solve_at(2);
+  const auto [t8, ilu_iters8] = ilu0_solve_at(8);
+  EXPECT_EQ(ilu_iters1, ilu_iters2);
+  EXPECT_EQ(ilu_iters1, ilu_iters8);
+  expect_bit_identical(t1, t2, "stencil ILU(0) CG solution, 2 threads vs serial");
+  expect_bit_identical(t1, t8, "stencil ILU(0) CG solution, 8 threads vs serial");
 }
 
 }  // namespace

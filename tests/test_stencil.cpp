@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@ namespace photherm::math {
 namespace {
 
 using fixtures::add_heater;
+using fixtures::diagonally_dominant_stencil;
 using fixtures::uniform_mesh_options;
 using fixtures::uniform_slab;
 using geometry::Box3;
@@ -61,6 +64,108 @@ BoundarySet all_faces_bcs() {
   bcs[Face::kZMin] = FaceBc::convection(1e3, 25.0);
   bcs[Face::kZMax] = FaceBc::dirichlet(60.0);
   return bcs;
+}
+
+/// Reference for the stencil ILU(0) apply: the same relaxed factor, swept
+/// in flat natural order over every cell, one loop per triangle, with the
+/// first / last plane guarded and every other row multiplying its boundary
+/// cells' zero coefficients by whatever value the offset wraps to.
+class FlatIlu0 {
+ public:
+  explicit FlatIlu0(const StencilOperator7& a)
+      : sy_(a.nx()),
+        sz_(a.nx() * a.ny()),
+        inv_pivot_(a.diag()),
+        west_(a.west()),
+        east_(a.east()),
+        south_(a.south()),
+        north_(a.north()),
+        down_(a.down()),
+        up_(a.up()) {
+    const double w = kIlu0Relaxation;
+    Vector& pivot = inv_pivot_;
+    for (std::size_t i = 0; i < pivot.size(); ++i) {
+      double d = pivot[i];
+      if (i >= sz_) {
+        const std::size_t j = i - sz_;
+        const double l = down_[i] / pivot[j];
+        d -= w * (l * east_[j]);
+        d -= w * (l * north_[j]);
+        d -= l * up_[j];
+      }
+      if (i >= sy_) {
+        const std::size_t j = i - sy_;
+        const double l = south_[i] / pivot[j];
+        d -= w * (l * east_[j]);
+        d -= l * north_[j];
+        d -= w * (l * up_[j]);
+      }
+      if (i >= 1) {
+        const std::size_t j = i - 1;
+        const double l = west_[i] / pivot[j];
+        d -= l * east_[j];
+        d -= w * (l * north_[j]);
+        d -= w * (l * up_[j]);
+      }
+      pivot[i] = d;
+    }
+    for (std::size_t i = 0; i < pivot.size(); ++i) {
+      const double inv = 1.0 / pivot[i];
+      inv_pivot_[i] = inv;
+      for (Vector* stream : {&west_, &east_, &south_, &north_, &down_, &up_}) {
+        (*stream)[i] *= inv;
+      }
+    }
+  }
+
+  Vector apply(const Vector& r) const {
+    const std::size_t n = inv_pivot_.size();
+    Vector z(n);
+    std::size_t i = 0;
+    for (; i < sz_; ++i) {
+      double acc = r[i] * inv_pivot_[i];
+      if (i >= sy_) {
+        acc -= south_[i] * z[i - sy_];
+      }
+      if (i >= 1) {
+        acc -= west_[i] * z[i - 1];
+      }
+      z[i] = acc;
+    }
+    for (; i < n; ++i) {
+      double acc = r[i] * inv_pivot_[i];
+      acc -= down_[i] * z[i - sz_];
+      acc -= south_[i] * z[i - sy_];
+      acc -= west_[i] * z[i - 1];
+      z[i] = acc;
+    }
+    for (i = n; i-- > n - sz_;) {
+      double acc = z[i];
+      if (i + sy_ < n) {
+        acc -= north_[i] * z[i + sy_];
+      }
+      if (i + 1 < n) {
+        acc -= east_[i] * z[i + 1];
+      }
+      z[i] = acc;
+    }
+    for (i = n - sz_; i-- > 0;) {
+      double acc = z[i];
+      acc -= up_[i] * z[i + sz_];
+      acc -= north_[i] * z[i + sy_];
+      acc -= east_[i] * z[i + 1];
+      z[i] = acc;
+    }
+    return z;
+  }
+
+ private:
+  std::size_t sy_, sz_;
+  Vector inv_pivot_, west_, east_, south_, north_, down_, up_;
+};
+
+bool same_bytes(const Vector& a, const Vector& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
@@ -155,6 +260,45 @@ TEST(Stencil, ApplyIsBitIdenticalAcrossThreadCounts) {
   stencil.op.apply(x, y4, 4);
   EXPECT_EQ(y1, y2);
   EXPECT_EQ(y1, y4);
+}
+
+TEST(StencilIlu0, ApplyIsBitIdenticalAcrossThreadCounts) {
+  // 47 x 47 x 8 = 17672 cells, past kSerialCutoff, so the sweeps run as
+  // band pipelines; 47 rows split into unequal bands at 2, 3 and 4 threads.
+  const auto mesh = heated_mesh(22e-6, 25e-6);
+  ASSERT_GE(mesh.cell_count(), util::kSerialCutoff);
+  ASSERT_NE(mesh.ny() % 3, 0u);
+  const thermal::StencilSystem meshed = thermal::assemble_stencil(mesh, all_faces_bcs());
+
+  // Fewer y-rows than threads caps the band count at ny = 2.
+  const StencilOperator7 thin = diagonally_dominant_stencil(96, 2, 96, 53);
+  ASSERT_GE(thin.rows(), util::kSerialCutoff);
+
+  for (const StencilOperator7* op : {&meshed.op, &thin}) {
+    SCOPED_TRACE(testing::Message() << op->nx() << "x" << op->ny() << "x" << op->nz());
+    const StencilIlu0Preconditioner ilu0(*op);
+    const Vector r = random_vector(op->rows(), 59);
+    const Vector reference = FlatIlu0(*op).apply(r);
+    // z starts as NaN, so a band that read a row before its owner wrote it
+    // would poison the result; repeats give a missing wait more chances
+    // to show.
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      for (int repeat = 0; repeat < 8; ++repeat) {
+        Vector z(op->rows(), std::numeric_limits<double>::quiet_NaN());
+        ilu0.apply(r, z, threads);
+        ASSERT_TRUE(same_bytes(z, reference)) << threads << " threads, repeat " << repeat;
+      }
+    }
+
+    // Applies issued from inside pool workers, several at once on the one
+    // object, run inline and produce the same bytes.
+    std::vector<Vector> nested(4);
+    util::parallel_for(
+        nested.size(), 1, [&](std::size_t b, std::size_t) { ilu0.apply(r, nested[b], 4); }, 4);
+    for (const Vector& z : nested) {
+      EXPECT_TRUE(same_bytes(z, reference)) << "nested in a parallel_for";
+    }
+  }
 }
 
 TEST(Stencil, AddToDiagonalShiftsOnlyTheDiagonal) {

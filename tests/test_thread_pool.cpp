@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "math/csr_matrix.hpp"
@@ -128,6 +131,42 @@ TEST(ParallelFor, NestedCallsRunInline) {
       },
       4);
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ParallelFor, ChunkMayWaitOnEarlierChunk) {
+  // Chunk c spins until chunk c - 1 has finished: the progress contract
+  // says that always completes. One shared deadline bounds every wait, so
+  // a broken contract fails the test instead of hanging it.
+  constexpr std::size_t kChunks = 16;
+  const auto chain_completes = [](std::size_t threads) {
+    std::array<std::atomic<bool>, kChunks> finished{};
+    std::atomic<bool> timed_out{false};
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    parallel_for(
+        kChunks, 1,
+        [&](std::size_t c, std::size_t) {
+          while (c > 0 && !finished[c - 1].load(std::memory_order_acquire)) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              timed_out.store(true);
+              break;
+            }
+            std::this_thread::yield();
+          }
+          finished[c].store(true, std::memory_order_release);
+        },
+        threads);
+    return !timed_out.load();
+  };
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_TRUE(chain_completes(threads)) << threads << " threads";
+  }
+  // Nested inside a worker the chunks run inline, still in index order.
+  std::array<std::atomic<bool>, 4> nested{};
+  parallel_for(
+      nested.size(), 1, [&](std::size_t b, std::size_t) { nested[b] = chain_completes(4); }, 4);
+  for (const std::atomic<bool>& completed : nested) {
+    EXPECT_TRUE(completed.load()) << "nested inside a pool worker";
+  }
 }
 
 TEST(ThreadPool, RunExecutesAllChunksAndRethrows) {

@@ -44,9 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "math/preconditioner.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
+#include "thermal/fvm.hpp"
 #include "timeline/checkpoint.hpp"
 #include "timeline/runner.hpp"
 #include "util/csv.hpp"
@@ -79,10 +81,11 @@ int usage(std::ostream& os, int exit_code) {
         "a <suite> is a scenario file path or builtin:<name> (see `list`).\n"
         "--trace writes a Chrome trace-event JSON (Perfetto/chrome://tracing),\n"
         "--metrics a metrics CSV; neither changes the scenario CSV output.\n"
-        "Both embed a run manifest (git sha, build type, suite, threads) that\n"
-        "photherm_report reads. --progress N logs a heartbeat stderr line\n"
-        "every N steps; --convergence records per-iteration solver residuals\n"
-        "(SolverResult histories + trace counter events).\n";
+        "Both embed a run manifest (git sha, build type, suite, threads,\n"
+        "operator, preconditioner) that photherm_report reads. --progress N\n"
+        "logs a heartbeat stderr line every N steps; --convergence records\n"
+        "per-iteration solver residuals (SolverResult histories + trace\n"
+        "counter events).\n";
   return exit_code;
 }
 
@@ -182,10 +185,11 @@ struct TelemetryArgs {
 };
 
 /// Runtime half of the run manifest (the build half — git sha, build type,
-/// compiler, sanitizer — is compiled into telemetry.cpp): what was run and
-/// how wide, so photherm_report can tell two artifacts apart months later.
-void set_run_manifest(const char* command, const CommonArgs& parsed,
-                      std::size_t scenario_count) {
+/// compiler, sanitizer — is compiled into telemetry.cpp): what was run, on
+/// which operator and preconditioner, and how wide, so photherm_report can
+/// tell two artifacts apart months later.
+void set_run_manifest(const char* command, const CommonArgs& parsed, std::size_t scenario_count,
+                      thermal::OperatorKind op, math::PreconditionerKind preconditioner) {
   if (!telemetry::enabled()) {
     return;
   }
@@ -197,6 +201,8 @@ void set_run_manifest(const char* command, const CommonArgs& parsed,
   std::ostringstream threads;
   threads << util::concurrency();
   telemetry::set_manifest("threads", threads.str());
+  telemetry::set_manifest("operator", thermal::to_string(op));
+  telemetry::set_manifest("preconditioner", math::to_string(preconditioner));
 }
 
 int cmd_list() {
@@ -234,7 +240,10 @@ int cmd_run(const std::vector<std::string>& args) {
       });
   telemetry_args.enable_if_requested();
   const auto scenarios = resolve_suite(parsed.suite);
-  set_run_manifest("run", parsed, scenarios.size());
+  // The batch's designers solve with the default steady-state options.
+  const thermal::SteadyStateOptions steady;
+  set_run_manifest("run", parsed, scenarios.size(), steady.operator_kind,
+                   steady.solver.preconditioner);
 
   scenario::BatchOptions options;
   options.threads = parsed.threads;
@@ -324,7 +333,9 @@ int cmd_play(const std::vector<std::string>& args) {
   }
 
   const auto scenarios = resolve_suite(parsed.suite);
-  set_run_manifest("play", parsed, scenarios.size());
+  // Playback steps, and solves its steady reference, on the stencil only.
+  set_run_manifest("play", parsed, scenarios.size(), thermal::OperatorKind::kStencil,
+                   playback.solver.preconditioner);
 
   // Quantization sanity: warn when the duty a schedule actually plays on
   // this grid drifts from the analytic duty by more than the settle
