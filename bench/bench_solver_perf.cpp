@@ -101,9 +101,9 @@ void BM_Ilu0Apply(benchmark::State& state) {
 }
 BENCHMARK(BM_Ilu0Apply)->Args({64, 1})->Args({64, 2});
 
-/// CG sweep: every preconditioner kind on both operator forms (SSOR needs
-/// explicit sparsity, so it runs on CSR only). The label names the
-/// combination; counters report cells and iterations to convergence.
+/// CG sweep: every preconditioner kind on both operator forms. The label
+/// names the combination; counters report cells and iterations to
+/// convergence.
 void BM_CgSweep(benchmark::State& state) {
   const auto kind = static_cast<math::PreconditionerKind>(state.range(1));
   const auto op_kind = static_cast<thermal::OperatorKind>(state.range(2));
@@ -132,14 +132,10 @@ void CgSweepArgs(benchmark::internal::Benchmark* b) {
   using thermal::OperatorKind;
   for (int64_t n : {32, 64}) {
     for (const PreconditionerKind kind :
-         {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi,
-          PreconditionerKind::kSsor, PreconditionerKind::kIlu0,
+         {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi, PreconditionerKind::kIlu0,
           PreconditionerKind::kChebyshev}) {
       b->Args({n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kCsr)});
-      if (kind != PreconditionerKind::kSsor) {
-        b->Args(
-            {n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kStencil)});
-      }
+      b->Args({n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kStencil)});
     }
   }
 }

@@ -62,7 +62,7 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t
 
 void CsrMatrix::multiply(const Vector& x, Vector& y, std::size_t threads) const {
   PH_REQUIRE(x.size() == cols_, "SpMV: x size mismatch");
-  telemetry::count("spmv.csr");
+  telemetry::count(telemetry::Counter::kSpmvCsr);
   y.resize(rows_);
   auto rows_kernel = [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {

@@ -3,8 +3,8 @@
 /// Concrete implementations: CsrMatrix (general sparsity) and
 /// StencilOperator7 (matrix-free 7-point stencil on a structured grid).
 /// Everything a solver or an SpMV-based preconditioner needs is virtual
-/// here; ILU(0) downcasts to StencilOperator7 or CsrMatrix, and SSOR to
-/// CsrMatrix, failing with an actionable error otherwise.
+/// here; ILU(0) downcasts to StencilOperator7 or CsrMatrix, failing with
+/// an actionable error otherwise.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +31,7 @@ class LinearOperator {
 
   /// Deep copy. Preconditioners that need the operator beyond their
   /// constructor (Chebyshev) clone it so they can never dangle into
-  /// storage a caller later rebuilds (the SsorPreconditioner stale-matrix
-  /// hazard, fixed in this layer for good).
+  /// storage a caller later rebuilds.
   virtual std::unique_ptr<LinearOperator> clone() const = 0;
 
   /// max_i scale[i] * sum_j |a_ij|: a Gershgorin-style upper bound on the

@@ -213,14 +213,14 @@ struct BandedSweeps {
   }
 };
 
-/// The CSR matrix behind `a`, for the preconditioners that walk explicit
-/// sparsity; any other operator is an actionable error.
-const CsrMatrix& csr_form(const LinearOperator& a, PreconditionerKind kind) {
+/// The CSR matrix behind `a`, for the ILU(0) factor of an operator that is
+/// not a stencil; any other operator is an actionable error.
+const CsrMatrix& csr_form(const LinearOperator& a) {
   const auto* csr = dynamic_cast<const CsrMatrix*>(&a);
   if (csr == nullptr) {
-    throw Error(std::string(to_string(kind)) +
-                " preconditioning needs explicit CSR sparsity; the matrix-free stencil path "
-                "supports identity, jacobi, ilu0 and chebyshev");
+    throw Error(
+        "ilu0 preconditioning needs a StencilOperator7 or explicit CSR sparsity; identity, "
+        "jacobi and chebyshev build on any operator");
   }
   return *csr;
 }
@@ -228,7 +228,7 @@ const CsrMatrix& csr_form(const LinearOperator& a, PreconditionerKind kind) {
 }  // namespace
 
 void IdentityPreconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
-  telemetry::count("precond.identity.applies");
+  telemetry::count(telemetry::Counter::kPrecondIdentityApplies);
   z = r;
 }
 
@@ -237,56 +237,8 @@ JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
 
 void JacobiPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
   PH_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
-  telemetry::count("precond.jacobi.applies");
+  telemetry::count(telemetry::Counter::kPrecondJacobiApplies);
   scaled_copy(r, inv_diag_, z, threads);
-}
-
-SsorPreconditioner::SsorPreconditioner(const CsrMatrix& a, double omega)
-    : row_ptr_(a.row_ptr()), col_idx_(a.col_idx()), values_(a.values()), omega_(omega) {
-  PH_REQUIRE(omega > 0.0 && omega < 2.0, "SSOR omega must be in (0, 2)");
-  diag_ = a.diagonal();
-  for (std::size_t i = 0; i < diag_.size(); ++i) {
-    if (!(diag_[i] > 0.0)) {
-      std::ostringstream os;
-      os << "SSOR preconditioner: non-positive diagonal entry " << diag_[i] << " at row " << i;
-      throw Error(os.str());
-    }
-  }
-}
-
-void SsorPreconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
-  const std::size_t n = diag_.size();
-  PH_REQUIRE(r.size() == n, "SSOR apply: size mismatch");
-  telemetry::count("precond.ssor.applies");
-
-  // Forward sweep: (D/w + L) y = r
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = r[i];
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      const std::size_t j = col_idx_[k];
-      if (j < i) {
-        acc -= values_[k] * y[j];
-      }
-    }
-    y[i] = acc * omega_ / diag_[i];
-  }
-  // Scale: y = D/w * y * (2-w)/w  -> combined below with backward sweep.
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] *= diag_[i] * (2.0 - omega_) / omega_;
-  }
-  // Backward sweep: (D/w + U) z = y
-  z.assign(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = row_ptr_[ii]; k < row_ptr_[ii + 1]; ++k) {
-      const std::size_t j = col_idx_[k];
-      if (j > ii) {
-        acc -= values_[k] * z[j];
-      }
-    }
-    z[ii] = acc * omega_ / diag_[ii];
-  }
 }
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
@@ -352,7 +304,7 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
 
 void Ilu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
   PH_REQUIRE(r.size() == n_, "ILU(0) apply: size mismatch");
-  telemetry::count("precond.ilu0.applies");
+  telemetry::count(telemetry::Counter::kPrecondIlu0Applies);
   // Solve L y = r (unit lower triangular).
   Vector y(n_);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -442,7 +394,7 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
 void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
   const std::size_t n = inv_pivot_.size();
   PH_REQUIRE(r.size() == n, "ILU(0) apply: size mismatch");
-  telemetry::count("precond.ilu0.applies");
+  telemetry::count(telemetry::Counter::kPrecondIlu0Applies);
   z.resize(n);
   const IluRows rows{nx_,          ny_,          nz_,          inv_pivot_.data(),
                      west_.data(), east_.data(), south_.data(), north_.data(),
@@ -494,7 +446,7 @@ ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
 void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
   const std::size_t n = inv_diag_.size();
   PH_REQUIRE(r.size() == n, "Chebyshev apply: size mismatch");
-  telemetry::count("precond.chebyshev.applies");
+  telemetry::count(telemetry::Counter::kPrecondChebyshevApplies);
 
   // Chebyshev iteration on (D^{-1} A) z = D^{-1} r with zero initial
   // guess (Saad, Iterative Methods, Alg. 12.1), tracking the unscaled
@@ -551,8 +503,6 @@ const char* to_string(PreconditionerKind kind) {
       return "identity";
     case PreconditionerKind::kJacobi:
       return "jacobi";
-    case PreconditionerKind::kSsor:
-      return "ssor";
     case PreconditionerKind::kIlu0:
       return "ilu0";
     case PreconditionerKind::kChebyshev:
@@ -562,38 +512,36 @@ const char* to_string(PreconditionerKind kind) {
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
-  for (PreconditionerKind kind :
-       {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi, PreconditionerKind::kSsor,
-        PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
+  for (PreconditionerKind kind : {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi,
+                                  PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
     if (name == to_string(kind)) {
       return kind;
     }
   }
   throw Error("unknown preconditioner `" + name +
-              "` (expected identity, jacobi, ssor, ilu0 or chebyshev)");
+              "` (expected identity, jacobi, ilu0 or chebyshev)");
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& a,
                                                     const ChebyshevSettings& chebyshev) {
   telemetry::Span span("precond.build", to_string(kind));
-  if (telemetry::enabled()) {
-    telemetry::count(std::string("precond.") + to_string(kind) + ".builds");
-  }
   switch (kind) {
     case PreconditionerKind::kIdentity:
+      telemetry::count(telemetry::Counter::kPrecondIdentityBuilds);
       return std::make_unique<IdentityPreconditioner>();
     case PreconditionerKind::kJacobi:
+      telemetry::count(telemetry::Counter::kPrecondJacobiBuilds);
       return std::make_unique<JacobiPreconditioner>(a);
     case PreconditionerKind::kChebyshev:
+      telemetry::count(telemetry::Counter::kPrecondChebyshevBuilds);
       return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);
     case PreconditionerKind::kIlu0:
+      telemetry::count(telemetry::Counter::kPrecondIlu0Builds);
       if (const auto* stencil = dynamic_cast<const StencilOperator7*>(&a)) {
         return std::make_unique<StencilIlu0Preconditioner>(*stencil);
       }
-      return std::make_unique<Ilu0Preconditioner>(csr_form(a, kind));
-    case PreconditionerKind::kSsor:
-      return std::make_unique<SsorPreconditioner>(csr_form(a, kind));
+      return std::make_unique<Ilu0Preconditioner>(csr_form(a));
   }
   throw Error("unknown preconditioner kind");
 }

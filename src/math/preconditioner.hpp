@@ -1,9 +1,8 @@
 /// \file preconditioner.hpp
-/// \brief Preconditioners for the Krylov solvers: Jacobi, symmetric
-/// Gauss-Seidel (SSOR with omega=1), zero-fill ILU with relaxed pivots — on
-/// CSR sparsity or natively on the 7-point stencil — and a fixed-degree
-/// Chebyshev polynomial. The FVM conduction matrix is an SPD M-matrix, so
-/// the factor exists and is stable without pivoting.
+/// \brief Preconditioners for the Krylov solvers: Jacobi, zero-fill ILU
+/// with relaxed pivots — on CSR sparsity or natively on the 7-point stencil
+/// — and a fixed-degree Chebyshev polynomial. The FVM conduction matrix is
+/// an SPD M-matrix, so the factor exists and is stable without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
 /// pointer into the caller's matrix — so rebuilding or destroying A after
@@ -31,8 +30,8 @@ class Preconditioner {
   /// results are bit-identical for every value. The elementwise (Jacobi)
   /// and SpMV-based (Chebyshev) applies thread chunk-ordered, and the
   /// stencil ILU(0) pipelines its triangular sweeps across y-bands of the
-  /// grid (see StencilIlu0Preconditioner). The CSR triangular solves (SSOR,
-  /// CSR ILU(0)) run in natural row order and ignore the parameter.
+  /// grid (see StencilIlu0Preconditioner). The CSR ILU(0) triangular solves
+  /// run in natural row order and ignore the parameter.
   virtual void apply(const Vector& r, Vector& z, std::size_t threads = 0) const = 0;
 };
 
@@ -50,24 +49,6 @@ class JacobiPreconditioner final : public Preconditioner {
 
  private:
   Vector inv_diag_;
-};
-
-/// Symmetric successive over-relaxation used as a preconditioner:
-/// M = (D/w + L) (D/w)^{-1} (D/w + U) * w/(2-w). Keeps symmetry for CG.
-/// Owns a copy of the matrix arrays: a caller that rebuilds A between
-/// applies (e.g. TransientSolver::set_time_step) gets the M it constructed,
-/// never a read of freed storage.
-class SsorPreconditioner final : public Preconditioner {
- public:
-  explicit SsorPreconditioner(const CsrMatrix& a, double omega = 1.0);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
-
- private:
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::uint32_t> col_idx_;
-  std::vector<double> values_;
-  double omega_;
-  Vector diag_;
 };
 
 /// Relaxation factor of the zero-fill factor behind PreconditionerKind::kIlu0
@@ -195,15 +176,14 @@ class ChebyshevPreconditioner final : public Preconditioner {
   double lambda_min_ = 0.0;
 };
 
-enum class PreconditionerKind { kIdentity, kJacobi, kSsor, kIlu0, kChebyshev };
+enum class PreconditionerKind { kIdentity, kJacobi, kIlu0, kChebyshev };
 
 const char* to_string(PreconditionerKind kind);
 PreconditionerKind preconditioner_kind_from_string(const std::string& name);
 
-/// Build a preconditioner of `kind` for `a`. ILU(0) builds natively on a
-/// StencilOperator7 and on CSR sparsity otherwise. SSOR needs explicit CSR
-/// sparsity; asking for it on the stencil throws an Error naming the
-/// kinds that do work there.
+/// Build a preconditioner of `kind` for `a`. Every kind builds on a
+/// StencilOperator7; ILU(0) also builds on CSR sparsity and throws an Error
+/// on any other operator.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& a,
                                                     const ChebyshevSettings& chebyshev = {});

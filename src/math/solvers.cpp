@@ -13,9 +13,24 @@ namespace photherm::math {
 
 namespace {
 
+/// A solver's name for messages and the three metrics every solve records.
+struct SolverMetrics {
+  const char* name;
+  telemetry::Counter solves;
+  telemetry::Counter iterations;
+  telemetry::Gauge relative_residual;
+};
+
+constexpr SolverMetrics kCgMetrics{"conjugate_gradient", telemetry::Counter::kCgSolves,
+                                   telemetry::Counter::kCgIterations,
+                                   telemetry::Gauge::kCgRelativeResidual};
+constexpr SolverMetrics kGaussSeidelMetrics{"gauss_seidel", telemetry::Counter::kGaussSeidelSolves,
+                                            telemetry::Counter::kGaussSeidelIterations,
+                                            telemetry::Gauge::kGaussSeidelRelativeResidual};
+
 SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
                       std::size_t iters, double norm_b, const SolverOptions& options,
-                      const char* name) {
+                      const SolverMetrics& solver) {
   PH_REQUIRE(options.convergence_slack >= 1.0, "convergence_slack must be >= 1");
   Vector r;
   a.apply(x, r, options.threads);
@@ -26,19 +41,16 @@ SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
   result.iterations = iters;
   result.residual_norm = norm2(r, options.threads);
   result.relative_residual = norm_b > 0.0 ? result.residual_norm / norm_b : result.residual_norm;
-  if (telemetry::enabled()) {
-    const std::string prefix = std::string("solver.") + name;
-    telemetry::count(prefix + ".solves");
-    telemetry::count(prefix + ".iterations", iters);
-    telemetry::gauge((prefix + ".relative_residual").c_str(), result.relative_residual);
-  }
+  telemetry::count(solver.solves);
+  telemetry::count(solver.iterations, iters);
+  telemetry::gauge(solver.relative_residual, result.relative_residual);
   // Judged on the true residual against the tolerance the caller actually
   // requested; any loosening must be asked for via convergence_slack.
   result.converged =
       result.relative_residual <= options.rel_tolerance * options.convergence_slack;
   if (!result.converged && options.throw_on_failure) {
     std::ostringstream os;
-    os << name << " failed to converge after " << iters
+    os << solver.name << " failed to converge after " << iters
        << " iterations (relative residual = " << result.relative_residual << ")";
     throw SolverError(os.str());
   }
@@ -126,7 +138,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     rz = rz_next;
     xpby(z, beta, p, threads);
   }
-  SolverResult result = finalize(a, b, x, it, norm_b, options, "conjugate_gradient");
+  SolverResult result = finalize(a, b, x, it, norm_b, options, kCgMetrics);
   result.convergence = std::move(history);
   return result;
 }
@@ -135,89 +147,6 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
                                 const SolverOptions& options) {
   const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
   return conjugate_gradient(a, b, x, *precond, options);
-}
-
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const Preconditioner& precond, const SolverOptions& options) {
-  PH_REQUIRE(a.rows() == a.cols(), "BiCGSTAB requires a square matrix");
-  PH_REQUIRE(b.size() == a.rows(), "BiCGSTAB: rhs size mismatch");
-  telemetry::Span span("solver.bicgstab");
-  const std::size_t n = a.rows();
-  prepare_initial_guess(x, n);
-  const std::size_t threads = resolve_threads(options);
-
-  const double norm_b = norm2(b, threads);
-  if (norm_b == 0.0) {
-    x.assign(n, 0.0);
-    return {true, 0, 0.0, 0.0, {}};
-  }
-
-  Vector r;
-  a.apply(x, r, threads);
-  for (std::size_t i = 0; i < n; ++i) {
-    r[i] = b[i] - r[i];
-  }
-  const Vector r0 = r;
-  Vector p(n, 0.0), v(n, 0.0), s(n), t(n), y(n), z(n);
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-
-  std::vector<double> history;
-  std::size_t it = 0;
-  for (; it < options.max_iterations; ++it) {
-    const double rel = norm2(r, threads) / norm_b;
-    if (options.record_convergence) {
-      history.push_back(rel);
-      telemetry::counter("solver.bicgstab.residual", rel, it);
-    }
-    if (rel <= options.rel_tolerance) {
-      break;
-    }
-    const double rho_next = dot(r0, r, threads);
-    if (std::abs(rho_next) < 1e-300) {
-      break;  // breakdown; finalize() reports the achieved residual
-    }
-    const double beta = (rho_next / rho) * (alpha / omega);
-    rho = rho_next;
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    precond.apply(p, y, threads);
-    a.apply(y, v, threads);
-    alpha = rho / dot(r0, v, threads);
-    for (std::size_t i = 0; i < n; ++i) {
-      s[i] = r[i] - alpha * v[i];
-    }
-    if (norm2(s, threads) / norm_b <= options.rel_tolerance) {
-      axpy(alpha, y, x, threads);
-      ++it;
-      break;
-    }
-    precond.apply(s, z, threads);
-    a.apply(z, t, threads);
-    const double tt = dot(t, t, threads);
-    if (tt == 0.0) {
-      axpy(alpha, y, x, threads);
-      ++it;
-      break;
-    }
-    omega = dot(t, s, threads) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * y[i] + omega * z[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    if (omega == 0.0) {
-      break;
-    }
-  }
-  SolverResult result = finalize(a, b, x, it, norm_b, options, "bicgstab");
-  result.convergence = std::move(history);
-  return result;
-}
-
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const SolverOptions& options) {
-  const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
-  return bicgstab(a, b, x, *precond, options);
 }
 
 SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
@@ -290,7 +219,7 @@ SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
                              : std::numeric_limits<double>::infinity();
     }
   }
-  return finalize(a, b, x, it, norm_b, options, "gauss_seidel");
+  return finalize(a, b, x, it, norm_b, options, kGaussSeidelMetrics);
 }
 
 std::string to_string(const SolverResult& result) {

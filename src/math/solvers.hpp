@@ -1,7 +1,6 @@
 /// \file solvers.hpp
-/// \brief Iterative linear solvers. Steady-state conduction is SPD, so CG is
-/// the workhorse; BiCGSTAB is provided for the (non-symmetric) transient
-/// operator variants and as a robustness fallback.
+/// \brief Iterative linear solvers. The conduction operator is SPD by
+/// construction, steady and transient alike, so CG is the solver.
 #pragma once
 
 #include <string>
@@ -32,7 +31,7 @@ struct SolverOptions {
   /// every value (see thread_pool.hpp).
   std::size_t threads = 0;
   /// Capture the per-iteration recursive relative residual (||r|| / ||b||
-  /// at the top of each CG/BiCGSTAB iteration, including the final accepted
+  /// at the top of each CG iteration, including the final accepted
   /// check) into SolverResult::convergence, and — when telemetry is
   /// recording — emit each sample as a plottable trace counter event
   /// (`solver.<name>.residual`). Off by default: the history allocates per
@@ -73,14 +72,6 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
 /// across the whole run instead of paying it per solve.
 SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options = {});
-
-/// Preconditioned BiCGSTAB for general (possibly non-symmetric) systems.
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const SolverOptions& options = {});
-
-/// BiCGSTAB with a caller-owned preconditioner (see the CG overload).
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const Preconditioner& precond, const SolverOptions& options = {});
 
 /// Plain Gauss-Seidel iteration (used as a smoother and in tests as an
 /// independent cross-check of CG results). The true residual is checked

@@ -50,7 +50,7 @@ StencilOperator7::StencilOperator7(std::size_t nx, std::size_t ny, std::size_t n
 
 void StencilOperator7::apply(const Vector& x, Vector& y, std::size_t threads) const {
   PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
-  telemetry::count("spmv.stencil");
+  telemetry::count(telemetry::Counter::kSpmvStencil);
   y.resize(n_);
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;

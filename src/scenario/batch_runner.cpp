@@ -31,7 +31,7 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
   BatchResult result;
   result.stats.scenario_count = n;
   result.reports.resize(n);
-  telemetry::count("batch.scenarios", n);
+  telemetry::count(telemetry::Counter::kBatchScenarios, n);
 
   if (!options_.share_global_solves) {
     // Cold path: every scenario performs its own coarse solve. Reports land
@@ -42,14 +42,14 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
-            telemetry::ScopedTimer wall("batch.scenario.wall");
+            telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
             with_error_context("scenario `" + scenarios[i].name + "`",
                                [&] { result.reports[i] = designers[i].run(); });
           }
         },
         options_.threads);
     result.stats.global_solves = n;
-    telemetry::count("batch.cache.misses", n);
+    telemetry::count(telemetry::Counter::kBatchCacheMisses, n);
     return result;
   }
 
@@ -93,7 +93,7 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
-          telemetry::ScopedTimer wall("batch.scenario.wall");
+          telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
           with_error_context(
               "scenario `" + scenarios[i].name + "`",
               [&] { result.reports[i] = designers[i].run(*globals[group_of[i]]); });
@@ -103,8 +103,8 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
 
   result.stats.global_solves = representative.size();
   result.stats.cache_hits = n - representative.size();
-  telemetry::count("batch.cache.misses", representative.size());
-  telemetry::count("batch.cache.hits", result.stats.cache_hits);
+  telemetry::count(telemetry::Counter::kBatchCacheMisses, representative.size());
+  telemetry::count(telemetry::Counter::kBatchCacheHits, result.stats.cache_hits);
   return result;
 }
 

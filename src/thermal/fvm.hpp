@@ -51,8 +51,8 @@ StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const Boundary
 
 /// Which operator representation the steady solves iterate on.
 enum class OperatorKind {
-  kCsr,      ///< explicit CSR sparsity; supports every preconditioner
-  kStencil,  ///< matrix-free 7-point stencil; every preconditioner but ssor
+  kCsr,      ///< explicit CSR sparsity
+  kStencil,  ///< matrix-free 7-point stencil
 };
 
 const char* to_string(OperatorKind kind);

@@ -77,7 +77,7 @@ const ThermalField& TransientSolver::step() {
   stats_.steps += 1;
   stats_.total_cg_iterations += last_solve_.iterations;
   stats_.max_cg_iterations = std::max(stats_.max_cg_iterations, last_solve_.iterations);
-  telemetry::count("transient.steps");
+  telemetry::count(telemetry::Counter::kTransientSteps);
   time_ += options_.time_step;
   refresh_field();
   return *field_;
@@ -103,8 +103,8 @@ void TransientSolver::set_time_step(double dt) {
   }
   stats_.reassemblies += 1;
   stats_.preconditioner_builds += 1;
-  telemetry::count("transient.reassemblies");
-  telemetry::count("transient.preconditioner_builds");
+  telemetry::count(telemetry::Counter::kTransientReassemblies);
+  telemetry::count(telemetry::Counter::kTransientPreconditionerBuilds);
 }
 
 void TransientSolver::rebuild_stepping() {

@@ -17,8 +17,7 @@ namespace photherm::thermal {
 struct TransientOptions {
   double time_step = 1e-3;  ///< [s]
   /// Per-step CG knobs. The stepping operator C/dt + A is always the
-  /// matrix-free stencil, so every preconditioner but ssor applies (asking
-  /// for ssor throws at construction).
+  /// matrix-free stencil, on which every preconditioner kind builds.
   math::SolverOptions solver;
   /// Seed each step's CG solve with the previous state. The stepping update
   /// (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the field a little per step,

@@ -128,7 +128,7 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
 
   trace_ = checkpoint.trace;
   stats_offset_ = checkpoint.trace.stats;
-  telemetry::instant("checkpoint.resumes");
+  telemetry::instant(telemetry::Counter::kCheckpointResumes);
   solve_steady_reference(base);
 
   // Recreate the grid in effect at the pause: the base grid, or the one
@@ -347,7 +347,7 @@ void Playback::maybe_grow_dt() {
   solver_->set_time_step(dt_);
   adopt_timeline(std::move(grown));
   trace_.dt_growths += 1;
-  telemetry::count("playback.dt_growths");
+  telemetry::count(telemetry::Counter::kPlaybackDtGrowths);
   trace_.final_time_step = dt_;
 }
 
@@ -390,7 +390,7 @@ void Playback::step_once() {
   }
 
   const thermal::ThermalField& field = solver_->step();
-  telemetry::count("playback.steps");
+  telemetry::count(telemetry::Counter::kPlaybackSteps);
   trace_.times.push_back(solver_->time());
   trace_.power_scale.push_back(timeline_.segments[segment].scale);
   trace_.cg_iterations.push_back(solver_->last_solve().iterations);

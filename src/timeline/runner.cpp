@@ -71,8 +71,8 @@ TimelineBatchResult TimelineRunner::play(
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           telemetry::Span span("playback.scenario", scenarios[i].name.c_str());
-          telemetry::ScopedTimer wall("playback.scenario.wall");
-          telemetry::count("playback.scenarios");
+          telemetry::ScopedTimer wall(telemetry::Timer::kPlaybackScenarioWall);
+          telemetry::count(telemetry::Counter::kPlaybackScenarios);
           with_error_context("scenario `" + scenarios[i].name + "`", [&] {
             Playback playback = resume_from[i] != nullptr
                                     ? Playback(scenarios[i], options_.playback, *resume_from[i])
@@ -81,7 +81,7 @@ TimelineBatchResult TimelineRunner::play(
             if (!playback.finished()) {
               checkpoints[i] = playback.checkpoint();
               paused[i] = 1;
-              telemetry::instant("checkpoint.pauses");
+              telemetry::instant(telemetry::Counter::kCheckpointPauses);
             }
             result.traces[i] = playback.take_trace();
           });

@@ -1,15 +1,19 @@
 #include "util/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -51,10 +55,51 @@ std::size_t bucket_index(std::uint64_t elapsed_ns) {
   return std::min<std::size_t>(std::bit_width(elapsed_ns), kTimerBuckets - 1);
 }
 
-/// Inclusive upper bound of bucket `b` in nanoseconds: the value every
-/// percentile reports, making the exported columns exact small integers.
+/// Inclusive upper bound of bucket `b` in nanoseconds: the value a
+/// percentile reports (unless the largest observation is smaller), making
+/// the exported columns exact small integers.
 double bucket_upper_bound(std::size_t b) {
   return b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b)) - 1.0;
+}
+
+/// The exported name and kind ('c'ounter, 'g'auge, 't'imer) of every
+/// declared metric, generated from the catalog lists in telemetry.hpp:
+/// counters, then gauges, then timers, each in enumerator order.
+struct MetricInfo {
+  const char* name;
+  char kind;
+};
+
+#define PHOTHERM_TELEMETRY_COUNTER_INFO(id, name) {name, 'c'},
+#define PHOTHERM_TELEMETRY_GAUGE_INFO(id, name) {name, 'g'},
+#define PHOTHERM_TELEMETRY_TIMER_INFO(id, name) {name, 't'},
+// clang-format off
+constexpr MetricInfo kMetrics[] = {
+    PHOTHERM_TELEMETRY_COUNTERS(PHOTHERM_TELEMETRY_COUNTER_INFO)
+    PHOTHERM_TELEMETRY_GAUGES(PHOTHERM_TELEMETRY_GAUGE_INFO)
+    PHOTHERM_TELEMETRY_TIMERS(PHOTHERM_TELEMETRY_TIMER_INFO)};
+// clang-format on
+#undef PHOTHERM_TELEMETRY_COUNTER_INFO
+#undef PHOTHERM_TELEMETRY_GAUGE_INFO
+#undef PHOTHERM_TELEMETRY_TIMER_INFO
+
+constexpr std::size_t metrics_of_kind(char kind) {
+  std::size_t n = 0;
+  for (const MetricInfo& metric : kMetrics) {
+    n += metric.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+constexpr std::size_t kCounterCount = metrics_of_kind('c');
+constexpr std::size_t kGaugeCount = metrics_of_kind('g');
+constexpr std::size_t kMetricCount = std::size(kMetrics);
+
+/// Position of a metric in kMetrics (and in every ThreadState::metrics).
+std::size_t metric_index(Counter id) { return static_cast<std::size_t>(id); }
+std::size_t metric_index(Gauge id) { return kCounterCount + static_cast<std::size_t>(id); }
+std::size_t metric_index(Timer id) {
+  return kCounterCount + kGaugeCount + static_cast<std::size_t>(id);
 }
 
 /// One metric's thread-local accumulation. Counters and timers keep their
@@ -63,7 +108,6 @@ double bucket_upper_bound(std::size_t b) {
 /// the merged value is independent of the merge order up to the (timing-
 /// dependent anyway) double sums of gauges.
 struct MetricCell {
-  char kind = 'c';  ///< 'c'ounter, 'g'auge, 't'imer
   std::uint64_t observations = 0;
   std::uint64_t total_int = 0;  ///< counter deltas / timer nanoseconds
   double total_real = 0.0;      ///< gauge sum
@@ -97,7 +141,9 @@ struct MetricCell {
   }
 
   /// Upper bound of the bucket holding the q-quantile observation
-  /// (0 < q <= 1), by cumulative walk over the merged histogram.
+  /// (0 < q <= 1), by cumulative walk over the merged histogram, clamped to
+  /// the largest observation: still an upper bound on the true quantile,
+  /// and as deterministic across merges as the bucket counts and `max`.
   double percentile(double q) const {
     const std::uint64_t rank =
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
@@ -106,10 +152,10 @@ struct MetricCell {
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       cumulative += buckets[b];
       if (cumulative >= rank) {
-        return bucket_upper_bound(b);
+        return std::min(bucket_upper_bound(b), max);
       }
     }
-    return bucket_upper_bound(kTimerBuckets - 1);
+    return max;
   }
 };
 
@@ -132,9 +178,7 @@ struct ThreadState {
   std::mutex mutex;
   std::uint32_t tid = 0;
   std::string label;
-  // std::map keeps per-thread metrics name-ordered from the start, so the
-  // merged export order never depends on hash seeds or insertion order.
-  std::map<std::string, MetricCell> metrics;
+  std::array<MetricCell, kMetricCount> metrics;  ///< indexed by metric_index()
   std::vector<TraceEvent> events;
   std::uint32_t span_depth = 0;
 };
@@ -169,52 +213,6 @@ ThreadState& thread_state() {
   return *state;
 }
 
-/// The standard catalog (see telemetry.hpp). Kind letters as in MetricCell.
-const std::vector<std::pair<std::string, std::string>>& catalog() {
-  static const std::vector<std::pair<std::string, std::string>> entries = {
-      {"batch.cache.hits", "counter"},
-      {"batch.cache.misses", "counter"},
-      {"batch.scenario.wall", "timer"},
-      {"batch.scenarios", "counter"},
-      {"checkpoint.pauses", "counter"},
-      {"checkpoint.resumes", "counter"},
-      {"playback.dt_growths", "counter"},
-      {"playback.scenario.wall", "timer"},
-      {"playback.scenarios", "counter"},
-      {"playback.steps", "counter"},
-      {"pool.queue_wait", "timer"},
-      {"precond.chebyshev.applies", "counter"},
-      {"precond.chebyshev.builds", "counter"},
-      {"precond.identity.applies", "counter"},
-      {"precond.identity.builds", "counter"},
-      {"precond.ilu0.applies", "counter"},
-      {"precond.ilu0.builds", "counter"},
-      {"precond.jacobi.applies", "counter"},
-      {"precond.jacobi.builds", "counter"},
-      {"precond.ssor.applies", "counter"},
-      {"precond.ssor.builds", "counter"},
-      {"solver.bicgstab.iterations", "counter"},
-      {"solver.bicgstab.relative_residual", "gauge"},
-      {"solver.bicgstab.solves", "counter"},
-      {"solver.conjugate_gradient.iterations", "counter"},
-      {"solver.conjugate_gradient.relative_residual", "gauge"},
-      {"solver.conjugate_gradient.solves", "counter"},
-      {"solver.gauss_seidel.iterations", "counter"},
-      {"solver.gauss_seidel.relative_residual", "gauge"},
-      {"solver.gauss_seidel.solves", "counter"},
-      {"spmv.csr", "counter"},
-      {"spmv.stencil", "counter"},
-      {"transient.preconditioner_builds", "counter"},
-      {"transient.reassemblies", "counter"},
-      {"transient.steps", "counter"},
-  };
-  return entries;
-}
-
-char kind_letter(const std::string& kind_name) {
-  return kind_name == "timer" ? 't' : kind_name == "gauge" ? 'g' : 'c';
-}
-
 const char* kind_name(char kind) {
   switch (kind) {
     case 'g':
@@ -224,22 +222,6 @@ const char* kind_name(char kind) {
     default:
       return "counter";
   }
-}
-
-/// Seed the catalog into the calling thread's state so every standard
-/// metric exports a row even at zero.
-void seed_catalog() {
-  ThreadState& state = thread_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  for (const auto& [name, kind] : catalog()) {
-    state.metrics[name].kind = kind_letter(kind);
-  }
-}
-
-MetricCell& cell(ThreadState& state, const std::string& name, char kind) {
-  MetricCell& c = state.metrics[name];
-  c.kind = kind;
-  return c;
 }
 
 /// JSON string escaping (RFC 8259): quotes, backslashes and control
@@ -326,28 +308,28 @@ std::int64_t now_ns() {
       .count();
 }
 
-void count_slow(const std::string& name, std::uint64_t delta) {
+void count_slow(Counter id, std::uint64_t delta) {
   ThreadState& state = thread_state();
   std::lock_guard<std::mutex> lock(state.mutex);
-  MetricCell& c = cell(state, name, 'c');
+  MetricCell& c = state.metrics[metric_index(id)];
   c.observations += 1;
   c.total_int += delta;
 }
 
-void gauge_slow(const std::string& name, double value) {
+void gauge_slow(Gauge id, double value) {
   ThreadState& state = thread_state();
   std::lock_guard<std::mutex> lock(state.mutex);
-  MetricCell& c = cell(state, name, 'g');
+  MetricCell& c = state.metrics[metric_index(id)];
   c.observations += 1;
   c.total_real += value;
   c.min = std::min(c.min, value);
   c.max = std::max(c.max, value);
 }
 
-void timer_slow(const std::string& name, std::uint64_t elapsed_ns) {
+void timer_slow(Timer id, std::uint64_t elapsed_ns) {
   ThreadState& state = thread_state();
   std::lock_guard<std::mutex> lock(state.mutex);
-  MetricCell& c = cell(state, name, 't');
+  MetricCell& c = state.metrics[metric_index(id)];
   c.observations += 1;
   c.total_int += elapsed_ns;
   c.min = std::min(c.min, static_cast<double>(elapsed_ns));
@@ -355,16 +337,16 @@ void timer_slow(const std::string& name, std::uint64_t elapsed_ns) {
   c.observe_duration(elapsed_ns);
 }
 
-void instant_slow(const std::string& name) {
+void instant_slow(Counter id) {
   const std::int64_t now = now_ns();
   ThreadState& state = thread_state();
   std::lock_guard<std::mutex> lock(state.mutex);
-  MetricCell& c = cell(state, name, 'c');
+  MetricCell& c = state.metrics[metric_index(id)];
   c.observations += 1;
   c.total_int += 1;
   TraceEvent event;
   event.ph = 'i';
-  event.name = name;
+  event.name = kMetrics[metric_index(id)].name;
   event.ts_ns = now;
   event.depth = state.span_depth;
   state.events.push_back(std::move(event));
@@ -387,30 +369,26 @@ void counter_slow(const char* name, double value, std::uint64_t index) {
 
 void set_enabled(bool on) {
   if (on) {
-    seed_catalog();
+    // Registering the enabling thread keeps it tid 1 ("main") in the trace
+    // even when pool workers record first.
+    thread_state();
   }
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 void reset() {
-  // Registering this thread first keeps the lock order one-way: the
-  // registry lock below is never held while thread_state() wants it.
+  // Registered for the same reason as in set_enabled, and before the
+  // registry lock below, which thread_state() would otherwise wait on.
   thread_state();
-  {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> reg_lock(reg.mutex);
-    for (const auto& state : reg.states) {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->metrics.clear();
-      state->events.clear();
-      state->span_depth = 0;
-    }
-    reg.manifest.clear();
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> reg_lock(reg.mutex);
+  for (const auto& state : reg.states) {
+    std::lock_guard<std::mutex> lock(state->mutex);
+    state->metrics = {};
+    state->events.clear();
+    state->span_depth = 0;
   }
-  if (enabled()) {
-    // Keep the stable CSV shape for the next measurement window.
-    seed_catalog();
-  }
+  reg.manifest.clear();
 }
 
 void set_thread_label(const std::string& label) {
@@ -464,41 +442,42 @@ void Span::end() {
   state.events.push_back(std::move(event));
 }
 
-const std::vector<std::pair<std::string, std::string>>& metric_catalog() { return catalog(); }
-
 Table metrics_table() {
-  // Merge thread blocks in registration order into a name-ordered map; the
-  // row order of the exported CSV is the lexicographic metric name order,
-  // independent of which threads recorded what when.
-  std::map<std::string, MetricCell> merged;
+  // Merge thread blocks in registration order, cell by cell.
+  std::array<MetricCell, kMetricCount> merged;
   {
     Registry& reg = registry();
     std::lock_guard<std::mutex> reg_lock(reg.mutex);
     for (const auto& state : reg.states) {
       std::lock_guard<std::mutex> lock(state->mutex);
-      for (const auto& [name, c] : state->metrics) {
-        auto [it, fresh] = merged.try_emplace(name, c);
-        if (!fresh) {
-          it->second.merge(c);
-        }
+      for (std::size_t i = 0; i < kMetricCount; ++i) {
+        merged[i].merge(state->metrics[i]);
       }
     }
   }
+  // Rows in lexicographic name order, independent of declaration order.
+  std::array<std::size_t, kMetricCount> order{};
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [](std::size_t a, std::size_t b) {
+    return std::string_view(kMetrics[a].name) < std::string_view(kMetrics[b].name);
+  });
 
   Table table({"metric", "kind", "count", "total", "min", "max", "p50", "p90", "p99"});
   table.set_exact();
-  for (const auto& [name, c] : merged) {
-    std::vector<TableCell> row{name, std::string(kind_name(c.kind)),
+  for (const std::size_t i : order) {
+    const MetricCell& c = merged[i];
+    const char kind = kMetrics[i].kind;
+    std::vector<TableCell> row{std::string(kMetrics[i].name), std::string(kind_name(kind)),
                                static_cast<double>(c.observations)};
-    row.emplace_back(c.kind == 'g' ? c.total_real : static_cast<double>(c.total_int));
-    if (c.observations > 0 && c.kind != 'c') {
+    row.emplace_back(kind == 'g' ? c.total_real : static_cast<double>(c.total_int));
+    if (c.observations > 0 && kind != 'c') {
       row.emplace_back(c.min);
       row.emplace_back(c.max);
     } else {
       row.emplace_back(std::string());
       row.emplace_back(std::string());
     }
-    if (c.kind == 't' && c.observations > 0 && !c.buckets.empty()) {
+    if (kind == 't' && c.observations > 0 && !c.buckets.empty()) {
       row.emplace_back(c.percentile(0.50));
       row.emplace_back(c.percentile(0.90));
       row.emplace_back(c.percentile(0.99));

@@ -41,16 +41,71 @@
 
 namespace photherm::telemetry {
 
+/// The metric catalog: every counter, gauge and timer the program records,
+/// declared once as a row `X(kId, "exported.name")` of one of three lists.
+/// The rows generate the Counter, Gauge and Timer enums below and the name
+/// table in telemetry.cpp, and each recording function accepts only its own
+/// kind, so an undeclared, misspelled or wrong-kind metric does not compile.
+/// Every row exports, in name order, at zero until recorded (documented in
+/// README.md, "Observability"). The photherm_lint telemetry rule fails a row
+/// that no code in src/ or tools/ records.
+// clang-format off
+#define PHOTHERM_TELEMETRY_COUNTERS(X)                                 \
+  X(kBatchCacheHits, "batch.cache.hits")                               \
+  X(kBatchCacheMisses, "batch.cache.misses")                           \
+  X(kBatchScenarios, "batch.scenarios")                                \
+  X(kCheckpointPauses, "checkpoint.pauses")                            \
+  X(kCheckpointResumes, "checkpoint.resumes")                          \
+  X(kPlaybackDtGrowths, "playback.dt_growths")                         \
+  X(kPlaybackScenarios, "playback.scenarios")                          \
+  X(kPlaybackSteps, "playback.steps")                                  \
+  X(kPrecondChebyshevApplies, "precond.chebyshev.applies")             \
+  X(kPrecondChebyshevBuilds, "precond.chebyshev.builds")               \
+  X(kPrecondIdentityApplies, "precond.identity.applies")               \
+  X(kPrecondIdentityBuilds, "precond.identity.builds")                 \
+  X(kPrecondIlu0Applies, "precond.ilu0.applies")                       \
+  X(kPrecondIlu0Builds, "precond.ilu0.builds")                         \
+  X(kPrecondJacobiApplies, "precond.jacobi.applies")                   \
+  X(kPrecondJacobiBuilds, "precond.jacobi.builds")                     \
+  X(kCgIterations, "solver.conjugate_gradient.iterations")             \
+  X(kCgSolves, "solver.conjugate_gradient.solves")                     \
+  X(kGaussSeidelIterations, "solver.gauss_seidel.iterations")          \
+  X(kGaussSeidelSolves, "solver.gauss_seidel.solves")                  \
+  X(kSpmvCsr, "spmv.csr")                                              \
+  X(kSpmvStencil, "spmv.stencil")                                      \
+  X(kTransientPreconditionerBuilds, "transient.preconditioner_builds") \
+  X(kTransientReassemblies, "transient.reassemblies")                  \
+  X(kTransientSteps, "transient.steps")
+
+#define PHOTHERM_TELEMETRY_GAUGES(X)                                       \
+  X(kCgRelativeResidual, "solver.conjugate_gradient.relative_residual")    \
+  X(kGaussSeidelRelativeResidual, "solver.gauss_seidel.relative_residual")
+
+#define PHOTHERM_TELEMETRY_TIMERS(X)                 \
+  X(kBatchScenarioWall, "batch.scenario.wall")       \
+  X(kPlaybackScenarioWall, "playback.scenario.wall") \
+  X(kPoolQueueWait, "pool.queue_wait")
+// clang-format on
+
+#define PHOTHERM_TELEMETRY_ENUMERATOR(id, name) id,
+/// Monotonic counters: merged across threads by summation.
+enum class Counter { PHOTHERM_TELEMETRY_COUNTERS(PHOTHERM_TELEMETRY_ENUMERATOR) };
+/// Gauges: per-observation count/sum/min/max.
+enum class Gauge { PHOTHERM_TELEMETRY_GAUGES(PHOTHERM_TELEMETRY_ENUMERATOR) };
+/// Timers: nanosecond intervals with a log2 histogram for percentiles.
+enum class Timer { PHOTHERM_TELEMETRY_TIMERS(PHOTHERM_TELEMETRY_ENUMERATOR) };
+#undef PHOTHERM_TELEMETRY_ENUMERATOR
+
 namespace detail {
 /// The runtime gate. Relaxed loads are fine: enabling mid-flight only has
 /// to eventually start recording, and the instrumented call sites never
 /// branch on telemetry data for anything but recording.
 extern std::atomic<bool> g_enabled;
 
-void count_slow(const std::string& name, std::uint64_t delta);
-void gauge_slow(const std::string& name, double value);
-void timer_slow(const std::string& name, std::uint64_t elapsed_ns);
-void instant_slow(const std::string& name);
+void count_slow(Counter id, std::uint64_t delta);
+void gauge_slow(Gauge id, double value);
+void timer_slow(Timer id, std::uint64_t elapsed_ns);
+void instant_slow(Counter id);
 void counter_slow(const char* name, double value, std::uint64_t index);
 
 /// Monotonic nanoseconds since an arbitrary process-local epoch. Only
@@ -61,52 +116,44 @@ std::int64_t now_ns();
 /// True while telemetry is recording. One relaxed atomic load.
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 
-/// Turn recording on or off. Enabling seeds the standard metric catalog
-/// (see metric_catalog()) so the exported CSV always carries the core
-/// solver/cache/playback rows, at zero, even for runs that never touch
-/// them. Disabling stops recording but keeps what was collected.
+/// Turn recording on or off. Disabling stops recording but keeps what was
+/// collected.
 void set_enabled(bool on);
 
 /// Drop every collected metric, span and thread label (the enabled flag is
-/// left alone; re-seeds the catalog when enabled). Tests and long-lived
-/// processes use this between measurement windows.
+/// left alone). Tests and long-lived processes use this between
+/// measurement windows.
 void reset();
 
-/// Monotonic counter: `name` accumulates `delta` (merged across threads by
-/// summation). No-op while disabled. The const char* overloads exist so the
-/// hot-path call sites build no std::string before the enabled branch.
-inline void count(const char* name, std::uint64_t delta = 1) {
+/// Monotonic counter: `id` accumulates `delta`. No-op while disabled.
+inline void count(Counter id, std::uint64_t delta = 1) {
   if (enabled()) {
-    detail::count_slow(name, delta);
-  }
-}
-inline void count(const std::string& name, std::uint64_t delta = 1) {
-  if (enabled()) {
-    detail::count_slow(name, delta);
+    detail::count_slow(id, delta);
   }
 }
 
-/// Gauge observation: records `value` into `name`'s count/sum/min/max
+/// Gauge observation: records `value` into `id`'s count/sum/min/max
 /// statistic. No-op while disabled.
-inline void gauge(const char* name, double value) {
+inline void gauge(Gauge id, double value) {
   if (enabled()) {
-    detail::gauge_slow(name, value);
+    detail::gauge_slow(id, value);
   }
 }
 
-/// Timer observation: adds an elapsed interval (nanoseconds) to `name`.
+/// Timer observation: adds an elapsed interval (nanoseconds) to `id`.
 /// Most callers want ScopedTimer instead of calling this directly.
-inline void timer_add(const std::string& name, std::uint64_t elapsed_ns) {
+inline void timer_add(Timer id, std::uint64_t elapsed_ns) {
   if (enabled()) {
-    detail::timer_slow(name, elapsed_ns);
+    detail::timer_slow(id, elapsed_ns);
   }
 }
 
-/// Zero-duration marker in the trace (a Chrome "instant" event) plus a
-/// counter bump of the same name: pause/resume and other one-shot events.
-inline void instant(const char* name) {
+/// Zero-duration marker in the trace (a Chrome "instant" event) named like
+/// the counter `id`, plus a bump of that counter: pause/resume and other
+/// one-shot events.
+inline void instant(Counter id) {
   if (enabled()) {
-    detail::instant_slow(name);
+    detail::instant_slow(id);
   }
 }
 
@@ -115,7 +162,8 @@ inline void instant(const char* name) {
 /// solvers emit one per Krylov iteration when SolverOptions::
 /// record_convergence is on, so a residual history renders as a counter
 /// track in Perfetto and `photherm_report convergence` can rebuild the
-/// per-solve series. No metric cell is touched. No-op while disabled.
+/// per-solve series. `name` is a free-form trace label: no metric is
+/// touched. No-op while disabled.
 inline void counter(const char* name, double value, std::uint64_t index = 0) {
   if (enabled()) {
     detail::counter_slow(name, value, index);
@@ -168,40 +216,27 @@ class Span {
 };
 
 /// RAII timer: adds the construction-to-destruction interval to the timer
-/// metric `name`. Used for per-scenario wall time and pool queue waits;
-/// pairs with (but does not require) a Span of the same region.
+/// `id`. Used for per-scenario wall time; pairs with (but does not require)
+/// a Span of the same region.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string name) {
+  explicit ScopedTimer(Timer id) : id_(id) {
     if (enabled()) {
-      name_ = std::move(name);
-      start_ns_ = detail::now_ns();
-    }
-  }
-  /// Literal-name overload: no std::string is built while disabled.
-  explicit ScopedTimer(const char* name) {
-    if (enabled()) {
-      name_ = name;
       start_ns_ = detail::now_ns();
     }
   }
   ~ScopedTimer() {
     if (start_ns_ >= 0) {
-      timer_add(name_, static_cast<std::uint64_t>(detail::now_ns() - start_ns_));
+      timer_add(id_, static_cast<std::uint64_t>(detail::now_ns() - start_ns_));
     }
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  std::string name_;
+  Timer id_;
   std::int64_t start_ns_ = -1;
 };
-
-/// The standard metric names seeded (at zero) by set_enabled(true), so the
-/// exported CSV shape is stable across runs that exercise different paths.
-/// Documented in README.md ("Observability"); append-only by convention.
-const std::vector<std::pair<std::string, std::string>>& metric_catalog();
 
 /// Attach a provenance entry to every subsequent export (the run manifest):
 /// suite name, scenario count, thread count, command line — anything that
@@ -217,17 +252,18 @@ void set_manifest(const std::string& key, const std::string& value);
 /// sorted by key.
 std::vector<std::pair<std::string, std::string>> manifest();
 
-/// Merged metrics as an exact-mode util::csv Table, rows in deterministic
-/// (lexicographic) metric-name order. Columns: metric, kind, count, total,
+/// Merged metrics as an exact-mode util::csv Table: one row per declared
+/// metric, in lexicographic name order. Columns: metric, kind, count, total,
 /// min, max, p50, p90, p99 — `count` is the number of observations
 /// (counters: increments), `total` the accumulated value (counters: sum of
 /// deltas; timers: nanoseconds); min/max are per-observation extremes
 /// (empty for counters). Timers additionally carry percentile estimates
 /// from a fixed 64-bucket log2 histogram of observed nanoseconds: each
 /// percentile reports the inclusive upper bound (2^b - 1 ns) of the bucket
-/// holding that rank, so the columns are deterministic for a deterministic
-/// observation multiset, merge order and thread count notwithstanding.
-/// Empty for counters, gauges, and zero-observation timers.
+/// holding that rank, clamped to the largest observation, so the columns
+/// are deterministic for a deterministic observation multiset, merge order
+/// and thread count notwithstanding. Empty for counters, gauges, and
+/// zero-observation timers.
 Table metrics_table();
 
 /// The full metrics CSV payload: the manifest comment block

@@ -114,7 +114,7 @@ struct ThreadPool::Impl {
         if (current->publish_ns >= 0 && telemetry::enabled()) {
           // Wake-up latency between job submission and this worker joining.
           telemetry::timer_add(
-              "pool.queue_wait",
+              telemetry::Timer::kPoolQueueWait,
               static_cast<std::uint64_t>(telemetry::detail::now_ns() - current->publish_ns));
         }
         t_in_pool_worker = true;

@@ -1,32 +1,16 @@
-// photherm_lint fixture: the telemetry rule MUST fire on this file — in
-// both directions. fixtures.rules declares this file as its own
-// telemetry_catalog, so the rule joins the call sites below against the
-// seeded entries:
-//   * `solver.demo.iterations` is used but never seeded (catalog-driven
-//     reports silently drop it);
-//   * `pool.demo.queue_wait` is seeded but never used (it reports a
-//     permanent zero).
-// Fixtures are scanned, not compiled.
+// photherm_lint fixture: the telemetry rule MUST fire on this file.
+// fixtures.rules declares this file as its own telemetry_catalog, so the
+// rule checks each `X(kId, "name")` row below against the `Counter::` /
+// `Timer::` references in the file: `kDemoQueueWait` is declared but never
+// recorded, so it would export a permanent zero. Fixtures are scanned, not
+// compiled.
 
 namespace photherm::demo {
 
-struct MetricDef {
-  const char* name;
-  const char* kind;
-};
+#define DEMO_COUNTERS(X) X(kDemoSolves, "solver.demo.solves")
 
-inline const MetricDef* catalog() {
-  static const MetricDef entries[] = {
-      {"solver.demo.solves", "counter"},
-      {"pool.demo.queue_wait", "timer"},  // dead entry: no call site below
-  };
-  return entries;
-}
+#define DEMO_TIMERS(X) X(kDemoQueueWait, "pool.demo.queue_wait")  // dead row
 
-inline void instrument(int iterations) {
-  telemetry::count("solver.demo.solves", 1);
-  // Name drift: "iterations" was never added to the catalog.
-  telemetry::count("solver.demo.iterations", iterations);
-}
+inline void instrument() { telemetry::count(telemetry::Counter::kDemoSolves); }
 
 }  // namespace photherm::demo

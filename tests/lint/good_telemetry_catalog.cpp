@@ -1,35 +1,22 @@
 // photherm_lint fixture: the telemetry rule must stay SILENT on this file.
 //
 // fixtures.rules declares this file as its own telemetry_catalog. Every
-// call site below resolves against the seeded entries — an exact literal, a
-// ScopedTimer, and a dynamically assembled name (matched by its ordered
-// literal fragments, anchored at both ends) — and every catalog entry has
-// at least one call site. Fixtures are scanned, not compiled.
-
-#include <string>
+// `X(kId, "name")` row below is recorded at least once, through a counter,
+// a gauge, or a ScopedTimer. Fixtures are scanned, not compiled.
 
 namespace photherm::demo {
 
-struct MetricDef {
-  const char* name;
-  const char* kind;
-};
+#define DEMO_COUNTERS(X) X(kDemoBuilds, "demo.builds") X(kDemoSolves, "demo.solves")
 
-inline const MetricDef* catalog() {
-  static const MetricDef entries[] = {
-      {"solver.demo.solves", "counter"},
-      {"solver.demo.time", "timer"},
-      {"precond.demo.builds", "counter"},
-  };
-  return entries;
-}
+#define DEMO_GAUGES(X) X(kDemoResidual, "demo.relative_residual")
 
-inline void instrument(const std::string& kind, int builds) {
-  telemetry::count("solver.demo.solves", 1);
-  telemetry::ScopedTimer solve_timer("solver.demo.time");
-  // Dynamic name: fragments "precond." + <kind> + ".builds" match the
-  // seeded precond.demo.builds entry.
-  telemetry::count(std::string("precond.") + kind + ".builds", builds);
+#define DEMO_TIMERS(X) X(kDemoTime, "demo.time")
+
+inline void instrument(int builds, double residual) {
+  telemetry::ScopedTimer solve_timer(telemetry::Timer::kDemoTime);
+  telemetry::count(telemetry::Counter::kDemoSolves);
+  telemetry::count(telemetry::Counter::kDemoBuilds, builds);
+  telemetry::gauge(telemetry::Gauge::kDemoResidual, residual);
 }
 
 }  // namespace photherm::demo

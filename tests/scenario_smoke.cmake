@@ -9,7 +9,8 @@
 # `--threads 1` must bound every parallel region, solver kernels included,
 # so the pool must never have been asked to run a job. A usage error must
 # name the failing check by its repository-relative path, not by the
-# configured source directory.
+# configured source directory, and an overflowing input must be reported as
+# an overflow, not as a matrix that is not positive definite.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR SOURCE_DIR)
   if(NOT DEFINED ${var})
@@ -81,4 +82,18 @@ string(FIND "${err}" "${SOURCE_DIR}" source_dir_at)
 if(NOT source_dir_at EQUAL -1)
   message(FATAL_ERROR "the --threads usage error leaks the source directory "
                       "${SOURCE_DIR}; got:\n${err}")
+endif()
+
+# A chip power of 1e308 overflows the right-hand side of the first solve:
+# the runner must fail naming the overflow, not a CG breakdown.
+file(WRITE ${WORK_DIR}/overflow.scn "scenario overflow\nchip_power = 1e308\n")
+execute_process(COMMAND ${PHOTHERM_CLI} run ${WORK_DIR}/overflow.scn
+                        -o ${WORK_DIR}/overflow.csv
+                RESULT_VARIABLE rv ERROR_VARIABLE err)
+if(rv EQUAL 0)
+  message(FATAL_ERROR "photherm_cli run succeeded on chip_power = 1e308")
+endif()
+if(NOT err MATCHES "not finite" OR err MATCHES "positive definite")
+  message(FATAL_ERROR "the chip_power = 1e308 failure does not name the overflow; "
+                      "got:\n${err}")
 endif()

@@ -706,19 +706,14 @@ TEST(StencilIlu0, NamesTheRowOfANonPositiveDiagonal) {
   }
 }
 
-TEST(StencilIlu0, BuildsOnTheStencilWhileSsorStillThrows) {
+TEST(StencilIlu0, EveryKindBuildsOnTheStencil) {
   const auto mesh = heated_mesh(100e-6, 0.0);
   const thermal::StencilSystem stencil = thermal::assemble_stencil(mesh, all_faces_bcs());
   const auto ilu0 = make_preconditioner(PreconditionerKind::kIlu0, stencil.op);
   EXPECT_NE(dynamic_cast<const StencilIlu0Preconditioner*>(ilu0.get()), nullptr);
-  EXPECT_NE(make_preconditioner(PreconditionerKind::kJacobi, stencil.op), nullptr);
-  EXPECT_NE(make_preconditioner(PreconditionerKind::kChebyshev, stencil.op), nullptr);
-  try {
-    make_preconditioner(PreconditionerKind::kSsor, stencil.op);
-    FAIL() << "expected Error for ssor on the stencil";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("identity, jacobi, ilu0 and chebyshev"), std::string::npos) << what;
+  for (PreconditionerKind kind : {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi,
+                                  PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
+    EXPECT_NE(make_preconditioner(kind, stencil.op), nullptr) << to_string(kind);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/csv.hpp"
@@ -120,6 +121,38 @@ void check_json_well_formed(const std::string& json) {
   EXPECT_FALSE(in_string);
 }
 
+// The catalog is held by the type system: a misspelled ID is no
+// enumerator, and each recording entry point accepts only its own kind.
+template <typename Kind>
+constexpr bool kDeclaresSpmvStencil = requires { Kind::kSpmvStencil; };
+template <typename Kind>
+constexpr bool kDeclaresSpmvStencl = requires { Kind::kSpmvStencl; };
+static_assert(kDeclaresSpmvStencil<Counter>);
+static_assert(!kDeclaresSpmvStencl<Counter>);
+static_assert(!kDeclaresSpmvStencil<Timer>);
+
+template <typename Id>
+constexpr bool kCountable = requires(Id id) { count(id); };
+template <typename Id>
+constexpr bool kTimeable = requires(Id id) { ScopedTimer{id}; };
+static_assert(kCountable<Counter> && !kCountable<Gauge> && !kCountable<Timer>);
+static_assert(kTimeable<Timer> && !kTimeable<Counter> && !kTimeable<Gauge>);
+
+/// Every declared metric as {name, kind}, expanded from the catalog lists.
+std::vector<std::pair<std::string, std::string>> declared_metrics() {
+#define PHOTHERM_TEST_COUNTER_ROW(id, name) {name, "counter"},
+#define PHOTHERM_TEST_GAUGE_ROW(id, name) {name, "gauge"},
+#define PHOTHERM_TEST_TIMER_ROW(id, name) {name, "timer"},
+  // clang-format off
+  return {PHOTHERM_TELEMETRY_COUNTERS(PHOTHERM_TEST_COUNTER_ROW)
+          PHOTHERM_TELEMETRY_GAUGES(PHOTHERM_TEST_GAUGE_ROW)
+          PHOTHERM_TELEMETRY_TIMERS(PHOTHERM_TEST_TIMER_ROW)};
+  // clang-format on
+#undef PHOTHERM_TEST_COUNTER_ROW
+#undef PHOTHERM_TEST_GAUGE_ROW
+#undef PHOTHERM_TEST_TIMER_ROW
+}
+
 std::map<std::string, std::vector<std::string>> metrics_by_name() {
   const Table table = metrics_table();
   const std::string csv = table.to_csv();
@@ -142,26 +175,31 @@ std::map<std::string, std::vector<std::string>> metrics_by_name() {
 
 TEST_F(TelemetryTest, DisabledRecordsNothingAndEmitsValidJson) {
   ASSERT_FALSE(enabled());
-  count("solver.conjugate_gradient.iterations", 7);
-  gauge("solver.conjugate_gradient.relative_residual", 1e-9);
-  timer_add("pool.queue_wait", 123);
-  instant("checkpoint.pauses");
+  count(Counter::kCgIterations, 7);
+  gauge(Gauge::kCgRelativeResidual, 1e-9);
+  timer_add(Timer::kPoolQueueWait, 123);
+  instant(Counter::kCheckpointPauses);
   {
     Span span("solver.conjugate_gradient");
-    ScopedTimer wall("playback.scenario.wall");
+    ScopedTimer wall(Timer::kPlaybackScenarioWall);
   }
-  const Table table = metrics_table();
-  EXPECT_EQ(table.row_count(), 0u);
+  const auto rows = metrics_by_name();
+  EXPECT_EQ(rows.size(), declared_metrics().size());
+  for (const auto& [name, cells] : rows) {
+    EXPECT_EQ(cells[2], "0") << name;
+    EXPECT_EQ(cells[3], "0") << name;
+  }
   const std::string json = trace_json();
   check_json_well_formed(json);
   EXPECT_TRUE(parse_events(json).empty());
 }
 
 TEST_F(TelemetryTest, EnableSeedsTheCatalogAtZero) {
+  // Every declared metric exports exactly one row, at zero until recorded.
   set_enabled(true);
   const auto rows = metrics_by_name();
-  ASSERT_EQ(rows.size(), metric_catalog().size());
-  for (const auto& [name, kind] : metric_catalog()) {
+  ASSERT_EQ(rows.size(), declared_metrics().size());
+  for (const auto& [name, kind] : declared_metrics()) {
     ASSERT_TRUE(rows.count(name)) << name;
     EXPECT_EQ(rows.at(name)[1], kind) << name;
     EXPECT_EQ(rows.at(name)[2], "0") << name;
@@ -171,29 +209,30 @@ TEST_F(TelemetryTest, EnableSeedsTheCatalogAtZero) {
 
 TEST_F(TelemetryTest, MetricsCsvGolden) {
   set_enabled(true);
-  count("golden.counter", 2);
-  count("golden.counter", 3);
-  gauge("golden.gauge", 2.5);
-  gauge("golden.gauge", -1.25);
-  timer_add("golden.timer", 40);
-  timer_add("golden.timer", 60);
+  count(Counter::kBatchScenarios, 2);
+  count(Counter::kBatchScenarios, 3);
+  gauge(Gauge::kCgRelativeResidual, 2.5);
+  gauge(Gauge::kCgRelativeResidual, -1.25);
+  timer_add(Timer::kPoolQueueWait, 40);
+  timer_add(Timer::kPoolQueueWait, 60);
   const std::string csv = metrics_table().to_csv();
   // The golden pins the exact-mode serialization contract: header shape,
   // lexicographic row order, counters with empty min/max, gauges carrying
   // per-observation extremes, timers in integer nanoseconds with
   // log2-histogram percentiles (40 and 60 ns both land in the [32,63]
-  // bucket, whose inclusive upper bound 63 is what every percentile
-  // reports).
+  // bucket, whose inclusive upper bound 63 every percentile reports,
+  // clamped to the largest observation, 60).
   EXPECT_NE(csv.find("metric,kind,count,total,min,max,p50,p90,p99\n"), std::string::npos);
-  EXPECT_NE(csv.find("golden.counter,counter,2,5,,,,,\n"), std::string::npos);
-  EXPECT_NE(csv.find("golden.gauge,gauge,2,1.25,-1.25,2.5,,,\n"), std::string::npos);
-  EXPECT_NE(csv.find("golden.timer,timer,2,100,40,60,63,63,63\n"), std::string::npos);
-  // Lexicographic order: the three golden rows appear in name order.
-  EXPECT_LT(csv.find("golden.counter"), csv.find("golden.gauge"));
-  EXPECT_LT(csv.find("golden.gauge"), csv.find("golden.timer"));
-  // And they sort into the seeded catalog, not after it.
-  EXPECT_LT(csv.find("checkpoint.resumes"), csv.find("golden.counter"));
-  EXPECT_LT(csv.find("golden.timer"), csv.find("playback.steps"));
+  EXPECT_NE(csv.find("batch.scenarios,counter,2,5,,,,,\n"), std::string::npos);
+  EXPECT_NE(csv.find("solver.conjugate_gradient.relative_residual,gauge,2,1.25,-1.25,2.5,,,\n"),
+            std::string::npos);
+  EXPECT_NE(csv.find("pool.queue_wait,timer,2,100,40,60,60,60,60\n"), std::string::npos);
+  // Lexicographic order: the three recorded rows appear in name order.
+  EXPECT_LT(csv.find("batch.scenarios"), csv.find("pool.queue_wait"));
+  EXPECT_LT(csv.find("pool.queue_wait"), csv.find("solver.conjugate_gradient.relative_residual"));
+  // And name order interleaves the kinds, whatever their declaration order.
+  EXPECT_LT(csv.find("batch.scenario.wall"), csv.find("batch.scenarios"));
+  EXPECT_LT(csv.find("playback.steps"), csv.find("pool.queue_wait"));
 }
 
 TEST_F(TelemetryTest, SpanNestingDepthAndContainment) {
@@ -239,18 +278,18 @@ TEST_F(TelemetryTest, CountersAccumulateAcrossPoolWorkers) {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           Span span("worker.chunk");
-          count("worker.items");
-          gauge("worker.value", static_cast<double>(i));
+          count(Counter::kTransientSteps);
+          gauge(Gauge::kGaussSeidelRelativeResidual, static_cast<double>(i));
         }
       },
       4);
   const auto rows = metrics_by_name();
-  ASSERT_TRUE(rows.count("worker.items"));
-  EXPECT_EQ(rows.at("worker.items")[3], "64");
-  ASSERT_TRUE(rows.count("worker.value"));
-  EXPECT_EQ(rows.at("worker.value")[2], "64");
-  EXPECT_EQ(rows.at("worker.value")[4], "0");   // min over 0..63
-  EXPECT_EQ(rows.at("worker.value")[5], "63");  // max over 0..63
+  const auto& steps = rows.at("transient.steps");
+  EXPECT_EQ(steps[3], "64");
+  const auto& value = rows.at("solver.gauss_seidel.relative_residual");
+  EXPECT_EQ(value[2], "64");
+  EXPECT_EQ(value[4], "0");   // min over 0..63
+  EXPECT_EQ(value[5], "63");  // max over 0..63
   const auto events = parse_events(trace_json());
   std::size_t spans = 0;
   for (const ParsedEvent& e : events) {
@@ -261,8 +300,8 @@ TEST_F(TelemetryTest, CountersAccumulateAcrossPoolWorkers) {
 
 TEST_F(TelemetryTest, InstantEventsBumpTheirCounter) {
   set_enabled(true);
-  instant("checkpoint.pauses");
-  instant("checkpoint.pauses");
+  instant(Counter::kCheckpointPauses);
+  instant(Counter::kCheckpointPauses);
   const auto rows = metrics_by_name();
   EXPECT_EQ(rows.at("checkpoint.pauses")[3], "2");
   const auto events = parse_events(trace_json());
@@ -290,21 +329,21 @@ TEST_F(TelemetryTest, ThreadLabelsAndDetailAreEscaped) {
 
 TEST_F(TelemetryTest, ResetClearsAndReseeds) {
   set_enabled(true);
-  count("ephemeral.counter", 9);
+  count(Counter::kSpmvCsr, 9);
   {
     Span span("ephemeral.span");
   }
   reset();
   const auto rows = metrics_by_name();
-  EXPECT_FALSE(rows.count("ephemeral.counter"));
-  ASSERT_TRUE(rows.count("transient.steps"));  // catalog reseeded
-  EXPECT_EQ(rows.at("transient.steps")[3], "0");
+  EXPECT_EQ(rows.size(), declared_metrics().size());  // every row still exports
+  EXPECT_EQ(rows.at("spmv.csr")[2], "0");
+  EXPECT_EQ(rows.at("spmv.csr")[3], "0");
   EXPECT_TRUE(parse_events(trace_json()).empty());
 }
 
 TEST_F(TelemetryTest, WritersMatchInMemoryExports) {
   set_enabled(true);
-  count("written.counter", 3);
+  count(Counter::kSpmvStencil, 3);
   {
     Span span("written.span");
   }
@@ -329,24 +368,25 @@ TEST_F(TelemetryTest, WritersMatchInMemoryExports) {
 TEST_F(TelemetryTest, TimerHistogramPercentileGolden) {
   set_enabled(true);
   // Observations spanning decades. Bucket b holds [2^(b-1), 2^b - 1] and a
-  // percentile reports its bucket's inclusive upper bound, so the goldens
-  // are exact integers: bucket counts are 1@[1,1], 2@[2,3], 1@[4,7],
-  // 1@[64,127], 2@[512,1023], 1@[4096,8191], 1@[65536,131071],
-  // 1@[524288,1048575]. With N=10: p50 hits rank 5 (the 100 ns value's
-  // bucket), p90 rank 9 (100 us), p99 rank 10 (1 ms).
+  // percentile reports its bucket's inclusive upper bound, clamped to the
+  // largest observation, so the goldens are exact integers: bucket counts
+  // are 1@[1,1], 2@[2,3], 1@[4,7], 1@[64,127], 2@[512,1023], 1@[4096,8191],
+  // 1@[65536,131071], 1@[524288,1048575]. With N=10: p50 hits rank 5 (the
+  // 100 ns value's bucket), p90 rank 9 (100 us), p99 rank 10 (1 ms, which
+  // is also the max).
   for (const std::uint64_t ns :
        {1ull, 2ull, 3ull, 4ull, 100ull, 1000ull, 1000ull, 5000ull, 100000ull, 1000000ull}) {
-    timer_add("hist.timer", ns);
+    timer_add(Timer::kBatchScenarioWall, ns);
   }
-  timer_add("hist.zero", 0);  // zero durations get their own bucket 0
+  timer_add(Timer::kPoolQueueWait, 0);  // zero durations get their own bucket 0
   const auto rows = metrics_by_name();
-  ASSERT_TRUE(rows.count("hist.timer"));
-  EXPECT_EQ(rows.at("hist.timer")[6], "127");      // p50
-  EXPECT_EQ(rows.at("hist.timer")[7], "131071");   // p90
-  EXPECT_EQ(rows.at("hist.timer")[8], "1048575");  // p99
-  ASSERT_TRUE(rows.count("hist.zero"));
-  EXPECT_EQ(rows.at("hist.zero")[6], "0");
-  EXPECT_EQ(rows.at("hist.zero")[8], "0");
+  const auto& hist = rows.at("batch.scenario.wall");
+  EXPECT_EQ(hist[6], "127");     // p50
+  EXPECT_EQ(hist[7], "131071");  // p90
+  EXPECT_EQ(hist[8], "1e+06");   // p99: 1048575 clamped to the max
+  const auto& zero = rows.at("pool.queue_wait");
+  EXPECT_EQ(zero[6], "0");
+  EXPECT_EQ(zero[8], "0");
 }
 
 TEST_F(TelemetryTest, HistogramsMergeDeterministicallyAcrossWorkers) {
@@ -358,18 +398,19 @@ TEST_F(TelemetryTest, HistogramsMergeDeterministicallyAcrossWorkers) {
       64, 1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          timer_add("merge.timer", 100 * (i + 1));
+          timer_add(Timer::kPlaybackScenarioWall, 100 * (i + 1));
         }
       },
       4);
   const auto rows = metrics_by_name();
-  ASSERT_TRUE(rows.count("merge.timer"));
-  EXPECT_EQ(rows.at("merge.timer")[2], "64");
+  const auto& merged = rows.at("playback.scenario.wall");
+  EXPECT_EQ(merged[2], "64");
   // Values 100..6400 ns; rank 32 (p50) is 3200 ns -> bucket [2048,4095],
-  // rank 58 (p90) is 5800 -> [4096,8191], rank 64 (p99) likewise.
-  EXPECT_EQ(rows.at("merge.timer")[6], "4095");
-  EXPECT_EQ(rows.at("merge.timer")[7], "8191");
-  EXPECT_EQ(rows.at("merge.timer")[8], "8191");
+  // rank 58 (p90) is 5800 -> [4096,8191], rank 64 (p99) likewise; both
+  // clamp to the largest observation, 6400.
+  EXPECT_EQ(merged[6], "4095");
+  EXPECT_EQ(merged[7], "6400");
+  EXPECT_EQ(merged[8], "6400");
 }
 
 TEST_F(TelemetryTest, ManifestRoundTripsThroughBothExports) {
@@ -427,12 +468,11 @@ TEST_F(TelemetryTest, CounterEventsDropWhenDisabled) {
 
 TEST_F(TelemetryTest, DisableKeepsCollectedData) {
   set_enabled(true);
-  count("kept.counter", 5);
+  count(Counter::kBatchCacheHits, 5);
   set_enabled(false);
-  count("kept.counter", 100);  // dropped: recording is off
+  count(Counter::kBatchCacheHits, 100);  // dropped: recording is off
   const auto rows = metrics_by_name();
-  ASSERT_TRUE(rows.count("kept.counter"));
-  EXPECT_EQ(rows.at("kept.counter")[3], "5");
+  EXPECT_EQ(rows.at("batch.cache.hits")[3], "5");
 }
 
 }  // namespace

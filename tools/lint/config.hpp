@@ -14,8 +14,8 @@
 ///                                     the DAG is fair game.
 ///   module <layer> <path-suffix>      assign a file outside src/<layer>/ to
 ///                                     a layer (fixture corpus support)
-///   telemetry_catalog <path-suffix>   file holding the seeded metric
-///                                     catalog ({"name", "kind"} entries)
+///   telemetry_catalog <path-suffix>   file holding the metric catalog
+///                                     (`X(kId, "name")` rows)
 ///
 /// Path suffixes match on path-component boundaries against the scanned
 /// file's path relative to --root.

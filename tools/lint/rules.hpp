@@ -6,7 +6,7 @@
 /// Two rule shapes exist:
 ///   * per-file rules see one SourceFile at a time (plus the config);
 ///   * tree rules see every scanned file at once (the telemetry rule must
-///     join catalog entries against call sites across the whole tree).
+///     find each catalog row's records anywhere in the tree).
 /// Both report through Reporter, which applies inline `ph-lint: allow(...)`
 /// markers and the config's per-file allowlists.
 #pragma once

@@ -5,7 +5,6 @@
 /// breaks, comments, and literals that defeat line-regex matching.
 
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -288,99 +287,6 @@ bool container_name(const std::string& id) {
   return kContainers.count(id) != 0;
 }
 
-// ---------------------------------------------------------------------------
-// telemetry
-
-struct CatalogEntry {
-  std::string name;
-  const SourceFile* file = nullptr;
-  std::size_t line = 0;  ///< 1-based
-  bool used = false;
-};
-
-struct CallSite {
-  std::vector<std::string> fragments;  ///< string literals of the name arg, in order
-  bool start_anchored = false;
-  bool end_anchored = false;
-  const SourceFile* file = nullptr;
-  std::size_t line = 0;  ///< 1-based
-};
-
-/// Tokens that merely wrap a name expression without contributing to it.
-bool name_wrapper(const Token& t) {
-  if (t.kind == Token::Kind::kIdentifier) {
-    return t.text == "std" || t.text == "string" || t.text == "c_str";
-  }
-  return is_punct(t, "(") || is_punct(t, ")") || is_punct(t, "::") || is_punct(t, ".");
-}
-
-/// Build a CallSite from the first call argument [begin, end).
-CallSite make_site(const std::vector<Token>& tokens, std::size_t begin, std::size_t end,
-                   const SourceFile& file) {
-  CallSite site;
-  site.file = &file;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (tokens[i].kind == Token::Kind::kString) {
-      site.fragments.push_back(tokens[i].text);
-      if (site.line == 0) {
-        site.line = tokens[i].line;
-      }
-    }
-  }
-  std::size_t front = begin;
-  while (front < end && name_wrapper(tokens[front])) {
-    ++front;
-  }
-  site.start_anchored = front < end && tokens[front].kind == Token::Kind::kString;
-  std::size_t back = end;
-  while (back > begin && name_wrapper(tokens[back - 1])) {
-    --back;
-  }
-  site.end_anchored = back > begin && tokens[back - 1].kind == Token::Kind::kString;
-  return site;
-}
-
-/// Does catalog name `name` fit the site's ordered fragments and anchors?
-bool site_matches(const CallSite& site, const std::string& name) {
-  if (site.fragments.empty()) {
-    return false;
-  }
-  const std::string& first = site.fragments.front();
-  if (site.start_anchored && name.compare(0, first.size(), first) != 0) {
-    return false;
-  }
-  const std::string& last = site.fragments.back();
-  if (site.end_anchored &&
-      (name.size() < last.size() ||
-       name.compare(name.size() - last.size(), last.size(), last) != 0)) {
-    return false;
-  }
-  std::size_t pos = 0;
-  for (const std::string& fragment : site.fragments) {
-    const std::size_t found = name.find(fragment, pos);
-    if (found == std::string::npos) {
-      return false;
-    }
-    pos = found + fragment.size();
-  }
-  return true;
-}
-
-/// Human-readable spelling of the site's name pattern for messages.
-std::string site_pattern(const CallSite& site) {
-  std::string out = site.start_anchored ? "" : "*";
-  for (std::size_t i = 0; i < site.fragments.size(); ++i) {
-    if (i > 0) {
-      out += "*";
-    }
-    out += site.fragments[i];
-  }
-  if (!site.end_anchored) {
-    out += "*";
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -592,122 +498,46 @@ void rule_lifetime(const SourceFile& file, Reporter& reporter) {
 
 void rule_telemetry(const std::vector<SourceFile>& files, const Config& config,
                     Reporter& reporter) {
-  if (config.telemetry_catalogs.empty()) {
-    return;
-  }
-  // Catalog entries: `{ "name", "kind" }` token quads inside files matched
-  // by a `telemetry_catalog` config line.
-  std::vector<CatalogEntry> entries;
+  // The compiler already rejects an undeclared, misspelled or wrong-kind
+  // metric; what no type can see is a declared metric nothing records.
+  // Rows are `X(kId, "name")` in the catalog files; a record is any
+  // `Counter::kId` / `Gauge::kId` / `Timer::kId` in the scan.
+  struct Row {
+    const SourceFile* file;
+    const Token* id;
+  };
+  std::vector<Row> rows;
+  std::set<std::string> recorded;
   bool catalog_in_scan = false;
   for (const SourceFile& file : files) {
     bool is_catalog = false;
     for (const std::string& suffix : config.telemetry_catalogs) {
-      if (suffix_match(file.path, suffix)) {
-        is_catalog = true;
-        break;
+      is_catalog = is_catalog || suffix_match(file.path, suffix);
+    }
+    catalog_in_scan = catalog_in_scan || is_catalog;
+    const std::vector<Token>& t = file.tokens;
+    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+      if (!is_ident(t[i]) || !is_ident(t[i + 2])) {
+        continue;
       }
-    }
-    if (!is_catalog) {
-      continue;
-    }
-    catalog_in_scan = true;
-    const std::vector<Token>& tokens = file.tokens;
-    for (std::size_t i = 0; i + 4 < tokens.size(); ++i) {
-      if (is_punct(tokens[i], "{") && tokens[i + 1].kind == Token::Kind::kString &&
-          is_punct(tokens[i + 2], ",") && tokens[i + 3].kind == Token::Kind::kString &&
-          is_punct(tokens[i + 4], "}")) {
-        const std::string& kind = tokens[i + 3].text;
-        if (kind == "counter" || kind == "gauge" || kind == "timer") {
-          entries.push_back({tokens[i + 1].text, &file, tokens[i + 1].line, false});
-        }
+      if (is_catalog && t[i].text == "X" && is_punct(t[i + 1], "(") && i + 4 < t.size() &&
+          is_punct(t[i + 3], ",") && t[i + 4].kind == Token::Kind::kString) {
+        rows.push_back({&file, &t[i + 2]});
+      } else if ((t[i].text == "Counter" || t[i].text == "Gauge" || t[i].text == "Timer") &&
+                 is_punct(t[i + 1], "::")) {
+        recorded.insert(t[i + 2].text);
       }
     }
   }
   if (!catalog_in_scan) {
-    return;  // the catalog is outside this scan (partial file list): no join
+    return;  // the catalog is outside this scan (partial file list)
   }
-
-  // Call sites: telemetry::count/gauge/timer_add/instant plus ScopedTimer
-  // construction. telemetry::counter (Chrome-trace-only) and Span carry
-  // trace labels, not metric names, and are exempt.
-  std::vector<CallSite> sites;
-  for (const SourceFile& file : files) {
-    const std::vector<Token>& tokens = file.tokens;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (!is_ident(tokens[i])) {
-        continue;
-      }
-      std::size_t arg_open = 0;
-      const std::string& id = tokens[i].text;
-      if ((id == "count" || id == "gauge" || id == "timer_add" || id == "instant") &&
-          i >= 2 && is_punct(tokens[i - 1], "::") && is_ident(tokens[i - 2]) &&
-          tokens[i - 2].text == "telemetry" && i + 1 < tokens.size() &&
-          is_punct(tokens[i + 1], "(")) {
-        arg_open = i + 1;
-      } else if (id == "ScopedTimer" && i + 1 < tokens.size() &&
-                 !is_punct(tokens[i + 1], "::")) {
-        std::size_t j = i + 1;
-        if (j < tokens.size() && is_ident(tokens[j])) {
-          ++j;  // skip the variable name
-        }
-        if (j < tokens.size() && is_punct(tokens[j], "(")) {
-          arg_open = j;
-        }
-      }
-      if (arg_open == 0) {
-        continue;
-      }
-      // First argument: up to the first top-level comma or the call close.
-      const std::size_t call_close = match_forward(tokens, arg_open);
-      std::size_t arg_end = call_close;
-      int depth = 0;
-      for (std::size_t j = arg_open + 1; j < call_close; ++j) {
-        if (is_punct(tokens[j], "(") || is_punct(tokens[j], "[") ||
-            is_punct(tokens[j], "{")) {
-          ++depth;
-        } else if (is_punct(tokens[j], ")") || is_punct(tokens[j], "]") ||
-                   is_punct(tokens[j], "}")) {
-          --depth;
-        } else if (is_punct(tokens[j], ",") && depth == 0) {
-          arg_end = j;
-          break;
-        }
-      }
-      if (call_close >= tokens.size()) {
-        continue;
-      }
-      CallSite site = make_site(tokens, arg_open + 1, arg_end, file);
-      if (!site.fragments.empty()) {
-        sites.push_back(site);
-      }
-    }
-  }
-
-  // Join both ways: every site resolves to a catalog entry, every entry has
-  // a site.
-  for (const CallSite& site : sites) {
-    bool resolved = false;
-    for (CatalogEntry& entry : entries) {
-      if (site_matches(site, entry.name)) {
-        entry.used = true;
-        resolved = true;
-      }
-    }
-    if (!resolved) {
-      reporter.report(*site.file, site.line - 1, "telemetry",
-                      "metric name `" + site_pattern(site) +
-                          "` at this call site matches no entry in the seeded metric "
-                          "catalog: add the `{\"name\", \"kind\"}` entry (catalog-driven "
-                          "reports silently drop unknown names) or fix the name drift");
-    }
-  }
-  for (const CatalogEntry& entry : entries) {
-    if (!entry.used) {
-      reporter.report(*entry.file, entry.line - 1, "telemetry",
-                      "catalog metric `" + entry.name +
-                          "` has no telemetry call site in the scanned tree: dead "
-                          "catalog entries report permanent zeros — remove the entry "
-                          "or restore the instrumentation");
+  for (const Row& row : rows) {
+    if (recorded.count(row.id->text) == 0) {
+      reporter.report(*row.file, row.id->line - 1, "telemetry",
+                      "catalog metric `" + row.id->text +
+                          "` is recorded nowhere in the scanned tree: a dead row exports a "
+                          "permanent zero — remove the row or restore the instrumentation");
     }
   }
 }

@@ -755,7 +755,7 @@ void summarize_metrics(const Artifact& artifact, std::size_t top) {
   }
 
   // Derived solver economics: the first question a report answers.
-  for (const std::string solver : {"conjugate_gradient", "bicgstab", "gauss_seidel"}) {
+  for (const std::string solver : {"conjugate_gradient", "gauss_seidel"}) {
     const auto solves = artifact.metrics.find("solver." + solver + ".solves");
     const auto iters = artifact.metrics.find("solver." + solver + ".iterations");
     if (solves != artifact.metrics.end() && iters != artifact.metrics.end() &&
