@@ -51,10 +51,9 @@ int main() {
   std::vector<core::AvgTemperaturePoint> reference;
   double serial_seconds = 0.0;
   for (std::size_t threads : thread_counts) {
-    core::SweepOptions sweep;
-    sweep.threads = threads;
+    util::set_concurrency(threads);
     const auto start = Clock::now();
-    const auto result = core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel, sweep);
+    const auto result = core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel);
     const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
     bool identical = true;

@@ -17,58 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "gbench_json.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/registry.hpp"
 #include "util/csv.hpp"
-#include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
-
-namespace {
-
-/// One gbench-shaped `benchmarks` entry per batch configuration: wall time
-/// plus the cache economics as user counters. The deterministic counters
-/// (global_solves, cache_hits, scenarios) are what the regression gate can
-/// pin exactly; the rates are informational.
-struct JsonRow {
-  std::string name;
-  double seconds = 0.0;
-  double scenarios = 0.0;
-  double global_solves = 0.0;
-  double cache_hits = 0.0;
-};
-
-void emit_json(std::ostream& os, const std::vector<JsonRow>& rows) {
-  using photherm::format_shortest;
-  os << "{\n  \"context\": {\n"
-     << "    \"executable\": \"bench_scenario_batch\",\n"
-#ifdef NDEBUG
-     << "    \"photherm_build_type\": \"release\"\n"
-#else
-     << "    \"photherm_build_type\": \"debug\"\n"
-#endif
-     << "  },\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& row = rows[i];
-    os << "    {\n"
-       << "      \"name\": \"" << row.name << "\",\n"
-       << "      \"run_name\": \"" << row.name << "\",\n"
-       << "      \"run_type\": \"iteration\",\n"
-       << "      \"repetitions\": 1,\n"
-       << "      \"iterations\": 1,\n"
-       << "      \"real_time\": " << format_shortest(row.seconds) << ",\n"
-       << "      \"cpu_time\": " << format_shortest(row.seconds) << ",\n"
-       << "      \"time_unit\": \"s\",\n"
-       << "      \"scenarios\": " << format_shortest(row.scenarios) << ",\n"
-       << "      \"global_solves\": " << format_shortest(row.global_solves) << ",\n"
-       << "      \"cache_hits\": " << format_shortest(row.cache_hits) << ",\n"
-       << "      \"scenarios_per_second\": "
-       << format_shortest(row.seconds > 0.0 ? row.scenarios / row.seconds : 0.0) << "\n"
-       << "    }" << (i + 1 == rows.size() ? "\n" : ",\n");
-  }
-  os << "  ]\n}\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace photherm;
@@ -107,6 +60,8 @@ int main(int argc, char** argv) {
 
   // Reference: serial and cold. The other configurations must reproduce its
   // CSV bit for bit — across the cache dimension *and* the thread count.
+  // `threads` is the thread budget the configuration runs under (0 = the
+  // default util::concurrency()).
   struct Config {
     const char* label;
     const char* bench_name;
@@ -121,10 +76,10 @@ int main(int argc, char** argv) {
 
   std::string reference_csv;
   std::size_t hits_with_cache = 0;
-  std::vector<JsonRow> json_rows;
+  std::vector<bench::GbenchEntry> json_entries;
   for (const Config& config : configs) {
+    util::set_concurrency(config.threads);
     scenario::BatchOptions options;
-    options.threads = config.threads;
     options.share_global_solves = config.cached;
     const auto start = Clock::now();
     const scenario::BatchResult result = scenario::BatchRunner(options).run(suite);
@@ -139,18 +94,19 @@ int main(int argc, char** argv) {
       hits_with_cache = result.stats.cache_hits;
     }
     const double n = static_cast<double>(suite.size());
-    table.add_row({std::string(config.label), seconds, seconds > 0.0 ? n / seconds : 0.0,
-                   static_cast<double>(result.stats.global_solves),
-                   static_cast<double>(result.stats.cache_hits),
-                   static_cast<double>(result.stats.cache_hits) / n,
-                   std::string(identical ? "yes" : "NO")});
-    JsonRow row;
-    row.name = config.bench_name;
-    row.seconds = seconds;
-    row.scenarios = n;
-    row.global_solves = static_cast<double>(result.stats.global_solves);
-    row.cache_hits = static_cast<double>(result.stats.cache_hits);
-    json_rows.push_back(std::move(row));
+    const double per_second = seconds > 0.0 ? n / seconds : 0.0;
+    const auto global_solves = static_cast<double>(result.stats.global_solves);
+    const auto cache_hits = static_cast<double>(result.stats.cache_hits);
+    table.add_row({std::string(config.label), seconds, per_second, global_solves, cache_hits,
+                   cache_hits / n, std::string(identical ? "yes" : "NO")});
+    // The deterministic counters (scenarios, global_solves, cache_hits) are
+    // what the regression gate pins exactly; the rate is informational.
+    bench::GbenchEntry entry{config.bench_name, seconds, {}};
+    entry.counters.emplace_back("scenarios", n);
+    entry.counters.emplace_back("global_solves", global_solves);
+    entry.counters.emplace_back("cache_hits", cache_hits);
+    entry.counters.emplace_back("scenarios_per_second", per_second);
+    json_entries.push_back(std::move(entry));
     if (!identical) {
       std::cerr << "FAIL: `" << config.label << "` differs from the serial cold run\n";
       return 1;
@@ -161,7 +117,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (json) {
-    emit_json(std::cout, json_rows);
+    bench::write_gbench_json(std::cout, "bench_scenario_batch", json_entries);
     return 0;
   }
   print_table(std::cout, "batch runner: thread counts x coarse-solve cache", table);

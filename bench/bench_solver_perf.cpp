@@ -80,23 +80,24 @@ void BM_SpMVStencil(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMVStencil)->Arg(16)->Arg(32)->Arg(64);
 
-/// The stencil ILU(0) apply alone at 1 and 2 threads. The mesh is past
-/// util::kSerialCutoff, so at 2 threads both triangular sweeps run as
-/// y-band plane pipelines; z is bit-identical either way.
+/// The stencil ILU(0) apply alone at a thread budget of 1 and 2. The mesh
+/// is past util::kSerialCutoff, so at 2 threads both triangular sweeps run
+/// as y-band plane pipelines; z is bit-identical either way.
 void BM_Ilu0Apply(benchmark::State& state) {
   const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
   if (systems.cells < util::kSerialCutoff) {
     state.SkipWithError("mesh below util::kSerialCutoff: the sweeps would not band");
     return;
   }
-  const auto threads = static_cast<std::size_t>(state.range(1));
   const math::StencilIlu0Preconditioner ilu0(systems.stencil.op);
   const math::Vector r(systems.cells, 1.0);
   math::Vector z;
+  util::set_concurrency(static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    ilu0.apply(r, z, threads);
+    ilu0.apply(r, z);
     benchmark::DoNotOptimize(z.data());
   }
+  util::set_concurrency(0);
   state.counters["cells"] = static_cast<double>(systems.cells);
 }
 BENCHMARK(BM_Ilu0Apply)->Args({64, 1})->Args({64, 2});

@@ -19,10 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "gbench_json.hpp"
 #include "scenario/registry.hpp"
 #include "timeline/runner.hpp"
 #include "util/csv.hpp"
-#include "util/string_util.hpp"
 
 using namespace photherm;
 
@@ -53,23 +53,15 @@ void add_row(Table& table, const char* mode, const Run& run) {
 /// One entry of the gbench-shaped `benchmarks` array: wall time plus the
 /// playback counters as user counters, mirroring what google-benchmark
 /// emits for a counter-carrying run.
-void emit_json_benchmark(std::ostream& os, const char* name, const Run& run, bool last) {
+bench::GbenchEntry json_entry(const char* name, const Run& run) {
   const double steps = static_cast<double>(run.result.stats.total_steps);
   const double iters = static_cast<double>(run.result.stats.total_cg_iterations);
-  os << "    {\n"
-     << "      \"name\": \"" << name << "\",\n"
-     << "      \"run_name\": \"" << name << "\",\n"
-     << "      \"run_type\": \"iteration\",\n"
-     << "      \"repetitions\": 1,\n"
-     << "      \"iterations\": 1,\n"
-     << "      \"real_time\": " << format_shortest(run.seconds) << ",\n"
-     << "      \"cpu_time\": " << format_shortest(run.seconds) << ",\n"
-     << "      \"time_unit\": \"s\",\n"
-     << "      \"steps\": " << format_shortest(steps) << ",\n"
-     << "      \"cg_iterations\": " << format_shortest(iters) << ",\n"
-     << "      \"iters_per_step\": " << format_shortest(iters / steps) << ",\n"
-     << "      \"steps_per_second\": " << format_shortest(steps / run.seconds) << "\n"
-     << "    }" << (last ? "\n" : ",\n");
+  bench::GbenchEntry entry{name, run.seconds, {}};
+  entry.counters.emplace_back("steps", steps);
+  entry.counters.emplace_back("cg_iterations", iters);
+  entry.counters.emplace_back("iters_per_step", iters / steps);
+  entry.counters.emplace_back("steps_per_second", steps / run.seconds);
+  return entry;
 }
 
 }  // namespace
@@ -112,23 +104,11 @@ int main(int argc, char** argv) {
   const Run adaptive_run = play(soak, adaptive);
 
   if (json) {
-    // photherm_build_type is the build type of *this* binary (what
-    // photherm_report's diff uses to refuse debug-vs-release comparisons),
-    // as opposed to gbench's library_build_type which reports the library's
-    // own build.
-    std::cout << "{\n  \"context\": {\n"
-              << "    \"executable\": \"bench_timeline_playback\",\n"
-#ifdef NDEBUG
-              << "    \"photherm_build_type\": \"release\"\n"
-#else
-              << "    \"photherm_build_type\": \"debug\"\n"
-#endif
-              << "  },\n  \"benchmarks\": [\n";
-    emit_json_benchmark(std::cout, "timeline_playback/transient_warm_start", warm, false);
-    emit_json_benchmark(std::cout, "timeline_playback/transient_cold_start", cold, false);
-    emit_json_benchmark(std::cout, "timeline_playback/soak_fixed_dt", fixed_run, false);
-    emit_json_benchmark(std::cout, "timeline_playback/soak_adaptive_dt", adaptive_run, true);
-    std::cout << "  ]\n}\n";
+    bench::write_gbench_json(std::cout, "bench_timeline_playback",
+                             {json_entry("timeline_playback/transient_warm_start", warm),
+                              json_entry("timeline_playback/transient_cold_start", cold),
+                              json_entry("timeline_playback/soak_fixed_dt", fixed_run),
+                              json_entry("timeline_playback/soak_adaptive_dt", adaptive_run)});
     return 0;
   }
 

@@ -27,35 +27,32 @@ std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& ba
   std::vector<AvgTemperaturePoint> out(grid);
   // One grid point per task, results written by index so the row-major
   // order (and every value) is independent of the thread count.
-  util::parallel_for(
-      grid, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const double chip = p_chip[idx / p_vcsel.size()];
-          const double vcsel = p_vcsel[idx % p_vcsel.size()];
-          OnocDesignSpec spec = base;
-          spec.chip_power = chip;
-          spec.p_vcsel = vcsel;
-          // Representative ONI: reuse the heater-sweep helper's convention
-          // (most central interface) by sweeping a single ratio. The solver
-          // override rides along; threads stay at the helper's default (the
-          // inner region runs inline on this worker anyway).
-          SweepOptions inner;
-          inner.solver = sweep.solver;
-          const auto point = explore_heater_ratios(spec, {spec.heater_ratio}, inner).front();
-          AvgTemperaturePoint row;
-          row.p_chip = chip;
-          row.p_vcsel = vcsel;
-          row.average = point.oni_average;
-          row.gradient = point.gradient;
-          out[idx] = row;
-          // Incremental progress (the logger is thread-safe; line order may
-          // interleave under concurrency, the returned grid never does).
-          PH_LOG_INFO << "Pchip=" << row.p_chip << " W, PVCSEL=" << row.p_vcsel * 1e3
-                      << " mW -> avg=" << row.average << " degC, gradient=" << row.gradient;
-        }
-      },
-      sweep.threads);
+  util::parallel_for(grid, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const double chip = p_chip[idx / p_vcsel.size()];
+      const double vcsel = p_vcsel[idx % p_vcsel.size()];
+      OnocDesignSpec spec = base;
+      spec.chip_power = chip;
+      spec.p_vcsel = vcsel;
+      // Representative ONI: reuse the heater-sweep helper's convention
+      // (most central interface) by sweeping a single ratio. The solver
+      // override rides along; the helper's own region runs inline on this
+      // worker.
+      SweepOptions inner;
+      inner.solver = sweep.solver;
+      const auto point = explore_heater_ratios(spec, {spec.heater_ratio}, inner).front();
+      AvgTemperaturePoint row;
+      row.p_chip = chip;
+      row.p_vcsel = vcsel;
+      row.average = point.oni_average;
+      row.gradient = point.gradient;
+      out[idx] = row;
+      // Incremental progress (the logger is thread-safe; line order may
+      // interleave under concurrency, the returned grid never does).
+      PH_LOG_INFO << "Pchip=" << row.p_chip << " W, PVCSEL=" << row.p_vcsel * 1e3
+                  << " mW -> avg=" << row.average << " degC, gradient=" << row.gradient;
+    }
+  });
   return out;
 }
 
@@ -66,45 +63,42 @@ std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
   PH_REQUIRE(!ring_cases.empty() && !activities.empty(), "empty sweep axes");
   const std::size_t grid = ring_cases.size() * activities.size();
   std::vector<SnrSweepPoint> out(grid);
-  util::parallel_for(
-      grid, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const power::ActivityKind activity = activities[idx / ring_cases.size()];
-          const int rc = ring_cases[idx % ring_cases.size()];
-          OnocDesignSpec spec = base;
-          spec.placement = OniPlacementMode::kRing;
-          spec.ring_case_id = rc;
-          spec.activity = activity;
-          ThermalAwareDesigner designer(spec);
-          if (sweep.solver) {
-            designer.set_steady_options(*sweep.solver);
-          }
-          const DesignReport report = designer.run();
-          PH_REQUIRE(report.snr.has_value(), "ring run must produce an SNR report");
+  util::parallel_for(grid, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const power::ActivityKind activity = activities[idx / ring_cases.size()];
+      const int rc = ring_cases[idx % ring_cases.size()];
+      OnocDesignSpec spec = base;
+      spec.placement = OniPlacementMode::kRing;
+      spec.ring_case_id = rc;
+      spec.activity = activity;
+      ThermalAwareDesigner designer(spec);
+      if (sweep.solver) {
+        designer.set_steady_options(*sweep.solver);
+      }
+      const DesignReport report = designer.run();
+      PH_REQUIRE(report.snr.has_value(), "ring run must produce an SNR report");
 
-          SnrSweepPoint row;
-          row.ring_case = rc;
-          row.waveguide_length = report.snr->waveguide_length;
-          row.activity = activity;
-          row.worst_snr_db = report.snr->network.worst_snr_db;
-          const noc::CommResult& worst = report.snr->network.worst_comm();
-          row.signal_power = worst.signal_power;
-          row.crosstalk_power = worst.crosstalk_power;
-          double t_min = report.thermal.onis.front().average;
-          double t_max = t_min;
-          for (const OniThermalReport& r : report.thermal.onis) {
-            t_min = std::min(t_min, r.average);
-            t_max = std::max(t_max, r.average);
-          }
-          row.oni_t_min = t_min;
-          row.oni_t_max = t_max;
-          out[idx] = row;
-          PH_LOG_INFO << "case " << row.ring_case << " (" << power::to_string(row.activity)
-                      << "): worst SNR = " << row.worst_snr_db << " dB";
-        }
-      },
-      sweep.threads);
+      SnrSweepPoint row;
+      row.ring_case = rc;
+      row.waveguide_length = report.snr->waveguide_length;
+      row.activity = activity;
+      row.worst_snr_db = report.snr->network.worst_snr_db;
+      const noc::CommResult& worst = report.snr->network.worst_comm();
+      row.signal_power = worst.signal_power;
+      row.crosstalk_power = worst.crosstalk_power;
+      double t_min = report.thermal.onis.front().average;
+      double t_max = t_min;
+      for (const OniThermalReport& r : report.thermal.onis) {
+        t_min = std::min(t_min, r.average);
+        t_max = std::max(t_max, r.average);
+      }
+      row.oni_t_min = t_min;
+      row.oni_t_max = t_max;
+      out[idx] = row;
+      PH_LOG_INFO << "case " << row.ring_case << " (" << power::to_string(row.activity)
+                  << "): worst SNR = " << row.worst_snr_db << " dB";
+    }
+  });
   return out;
 }
 

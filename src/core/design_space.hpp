@@ -23,9 +23,9 @@ struct AvgTemperaturePoint {
 };
 
 /// Sweep PVCSEL x Pchip at fixed heater ratio; evaluates the representative
-/// (most central) ONI. Grid points are solved concurrently per
-/// `sweep.threads` and returned in row-major (p_chip outer) order,
-/// bit-identical across thread counts.
+/// (most central) ONI. Grid points are solved concurrently within the
+/// util::concurrency() budget and returned in row-major (p_chip outer)
+/// order, bit-identical across thread counts.
 std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& base,
                                                         const std::vector<double>& p_chip,
                                                         const std::vector<double>& p_vcsel,
@@ -44,8 +44,9 @@ struct SnrSweepPoint {
 };
 
 /// Sweep the three ring cases across activities (Fig. 12). Scenario solves
-/// run concurrently per `sweep.threads`; row order (activity outer, case
-/// inner) and values are independent of the thread count.
+/// run concurrently within the util::concurrency() budget; row order
+/// (activity outer, case inner) and values are independent of the thread
+/// count.
 std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
                                      const std::vector<int>& ring_cases,
                                      const std::vector<power::ActivityKind>& activities,

@@ -171,8 +171,8 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
   num(options.global_mesh.default_max_cell_z);
   num(options.global_mesh.min_feature_size_xy);
 
-  // `threads` is deliberately excluded: results are bit-identical for every
-  // thread count (thread_pool.hpp contract).
+  // The thread budget is deliberately excluded: results are bit-identical
+  // for every thread count (thread_pool.hpp contract).
   const math::SolverOptions& solver = options.solver.solver;
   os << "solver:" << solver.max_iterations << '|' << static_cast<int>(solver.preconditioner)
      << '|' << static_cast<int>(options.solver.operator_kind) << '|'
@@ -262,14 +262,12 @@ OniThermalReport ThermalAwareDesigner::evaluate_oni_window(
   return r;
 }
 
-ThermalReport ThermalAwareDesigner::evaluate_thermal(std::optional<int> only_oni,
-                                                     std::size_t threads) const {
-  return evaluate_thermal(solve_global(), only_oni, threads);
+ThermalReport ThermalAwareDesigner::evaluate_thermal(std::optional<int> only_oni) const {
+  return evaluate_thermal(solve_global(), only_oni);
 }
 
 ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& global,
-                                                     std::optional<int> only_oni,
-                                                     std::size_t threads) const {
+                                                     std::optional<int> only_oni) const {
   const soc::SccSystem& system = global.system;
   const thermal::BoundarySet bcs = boundary_conditions();
   const thermal::TwoLevelOptions options = two_level_options();
@@ -292,15 +290,11 @@ ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& gl
   // every thread count. Nested regions (the solver kernels inside each
   // window) run inline on the worker (thread_pool.hpp).
   report.onis.resize(selected.size());
-  util::parallel_for(
-      selected.size(), 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          report.onis[idx] = evaluate_oni_window(system, bcs, options, *selected[idx],
-                                                 global.field);
-        }
-      },
-      threads);
+  util::parallel_for(selected.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      report.onis[idx] = evaluate_oni_window(system, bcs, options, *selected[idx], global.field);
+    }
+  });
 
   std::vector<double> averages;
   report.max_gradient = 0.0;
@@ -386,28 +380,25 @@ std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
 
   // Each ratio is an independent steady-state solve; results land at their
   // ratio's index, so order and values do not depend on the thread count.
-  util::parallel_for(
-      ratios.size(), 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          OnocDesignSpec spec = base;
-          spec.heater_ratio = ratios[idx];
-          ThermalAwareDesigner designer(spec);
-          if (sweep_options.solver) {
-            designer.set_steady_options(*sweep_options.solver);
-          }
-          const ThermalReport thermal = designer.evaluate_thermal(representative);
-          HeaterSweepPoint point;
-          point.heater_ratio = ratios[idx];
-          point.p_heater = spec.p_heater();
-          point.gradient = thermal.onis.front().gradient;
-          point.oni_average = thermal.onis.front().average;
-          sweep[idx] = point;
-          PH_LOG_DEBUG << "heater ratio " << point.heater_ratio << ": gradient " << point.gradient
-                       << " degC";
-        }
-      },
-      sweep_options.threads);
+  util::parallel_for(ratios.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      OnocDesignSpec spec = base;
+      spec.heater_ratio = ratios[idx];
+      ThermalAwareDesigner designer(spec);
+      if (sweep_options.solver) {
+        designer.set_steady_options(*sweep_options.solver);
+      }
+      const ThermalReport thermal = designer.evaluate_thermal(representative);
+      HeaterSweepPoint point;
+      point.heater_ratio = ratios[idx];
+      point.p_heater = spec.p_heater();
+      point.gradient = thermal.onis.front().gradient;
+      point.oni_average = thermal.onis.front().average;
+      sweep[idx] = point;
+      PH_LOG_DEBUG << "heater ratio " << point.heater_ratio << ": gradient " << point.gradient
+                   << " degC";
+    }
+  });
   return sweep;
 }
 

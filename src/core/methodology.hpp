@@ -19,11 +19,10 @@ namespace photherm::core {
 
 /// Options shared by the design-space sweep engines. Scenario solves of a
 /// sweep are independent, so they dispatch onto the shared thread pool
-/// (util/thread_pool.hpp) and are collected in index order: results are
-/// bit-identical for every thread count, including 1.
+/// (util/thread_pool.hpp) within the util::concurrency() budget and are
+/// collected in index order: results are bit-identical for every thread
+/// count, including 1.
 struct SweepOptions {
-  /// Concurrent scenario solves. 0 = util::concurrency(); 1 = serial.
-  std::size_t threads = 0;
   /// Steady-state solver override applied to every designer the sweep
   /// builds (operator kind, preconditioner, tolerances). Unset keeps the
   /// defaults. Enters the global-scene cache key, so sweeps run with
@@ -132,18 +131,15 @@ class ThermalAwareDesigner {
   /// window per ONI. When `only_oni` is set, just that interface is
   /// refined (cuts sweep cost; the paper's Fig. 9 tracks one interface).
   /// The per-ONI local-window solves are independent and run on the shared
-  /// pool (`threads` as in SweepOptions: 0 = util::concurrency(), 1 =
-  /// serial) with index-ordered collection — results are bit-identical for
+  /// pool with index-ordered collection — results are bit-identical for
   /// every thread count.
-  ThermalReport evaluate_thermal(std::optional<int> only_oni = std::nullopt,
-                                 std::size_t threads = 0) const;
+  ThermalReport evaluate_thermal(std::optional<int> only_oni = std::nullopt) const;
 
   /// Same, reusing a coarse global solve produced by `solve_global()` of a
   /// spec with an equal `global_scene_key()` (e.g. this one). Bit-identical
   /// to the self-solving overload.
   ThermalReport evaluate_thermal(const CoarseGlobalSolve& global,
-                                 std::optional<int> only_oni = std::nullopt,
-                                 std::size_t threads = 0) const;
+                                 std::optional<int> only_oni = std::nullopt) const;
 
   /// SNR analysis from ONI temperatures (ring placement only).
   SnrReport analyze_snr(const ThermalReport& thermal) const;

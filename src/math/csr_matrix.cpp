@@ -60,7 +60,7 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t
   PH_REQUIRE(row_ptr_.back() == values_.size(), "row_ptr must end at nnz");
 }
 
-void CsrMatrix::multiply(const Vector& x, Vector& y, std::size_t threads) const {
+void CsrMatrix::multiply(const Vector& x, Vector& y) const {
   PH_REQUIRE(x.size() == cols_, "SpMV: x size mismatch");
   telemetry::count(telemetry::Counter::kSpmvCsr);
   y.resize(rows_);
@@ -79,12 +79,12 @@ void CsrMatrix::multiply(const Vector& x, Vector& y, std::size_t threads) const 
   }
   // Row-parallel SpMV: disjoint writes, per-row accumulation order
   // unchanged, hence bit-identical to the serial loop.
-  util::parallel_for(rows_, util::kKernelGrain / 8, rows_kernel, threads);
+  util::parallel_for(rows_, util::kKernelGrain / 8, rows_kernel);
 }
 
-Vector CsrMatrix::multiply(const Vector& x, std::size_t threads) const {
+Vector CsrMatrix::multiply(const Vector& x) const {
   Vector y;
-  multiply(x, y, threads);
+  multiply(x, y);
   return y;
 }
 

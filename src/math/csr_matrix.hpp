@@ -57,15 +57,12 @@ class CsrMatrix : public LinearOperator {
 
   /// y = A * x. Rows are computed independently (each writes one y entry),
   /// so the result is bit-identical for every thread count; matrices below
-  /// `util::kSerialCutoff` rows stay serial. `threads == 0` means
-  /// `util::concurrency()`.
-  void multiply(const Vector& x, Vector& y, std::size_t threads = 0) const;
-  Vector multiply(const Vector& x, std::size_t threads = 0) const;
+  /// `util::kSerialCutoff` rows stay serial.
+  void multiply(const Vector& x, Vector& y) const;
+  Vector multiply(const Vector& x) const;
 
   /// LinearOperator interface (same kernel as multiply).
-  void apply(const Vector& x, Vector& y, std::size_t threads = 0) const override {
-    multiply(x, y, threads);
-  }
+  void apply(const Vector& x, Vector& y) const override { multiply(x, y); }
   std::unique_ptr<LinearOperator> clone() const override;
   double scaled_row_sum_bound(const Vector& scale) const override;
 

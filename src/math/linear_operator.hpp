@@ -22,9 +22,9 @@ class LinearOperator {
   virtual std::size_t cols() const = 0;
 
   /// y = A * x. Implementations thread chunk-ordered over rows (serial
-  /// below util::kSerialCutoff), so the result is bit-identical at every
-  /// thread count. `threads == 0` means util::concurrency().
-  virtual void apply(const Vector& x, Vector& y, std::size_t threads = 0) const = 0;
+  /// below util::kSerialCutoff) within the util::concurrency() budget, so
+  /// the result is bit-identical at every thread count.
+  virtual void apply(const Vector& x, Vector& y) const = 0;
 
   /// Main diagonal (zero where no entry is stored).
   virtual Vector diagonal() const = 0;

@@ -42,7 +42,7 @@ Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
 /// Elementwise z[i] = r[i] * d[i], threaded chunk-ordered like the vector
 /// kernels (serial below kSerialCutoff): a serial diagonal scale inside an
 /// otherwise-threaded CG iteration would be the one unthreaded stage.
-void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t threads) {
+void scaled_copy(const Vector& r, const Vector& d, Vector& z) {
   z.resize(r.size());
   auto body = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -53,7 +53,7 @@ void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t thread
     body(0, r.size());
     return;
   }
-  util::parallel_for(r.size(), util::kKernelGrain, body, threads);
+  util::parallel_for(r.size(), util::kKernelGrain, body);
 }
 
 /// One band's progress through a banded ILU(0) apply, alone on its cache
@@ -227,7 +227,7 @@ const CsrMatrix& csr_form(const LinearOperator& a) {
 
 }  // namespace
 
-void IdentityPreconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
   telemetry::count(telemetry::Counter::kPrecondIdentityApplies);
   z = r;
 }
@@ -235,10 +235,10 @@ void IdentityPreconditioner::apply(const Vector& r, Vector& z, std::size_t) cons
 JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
     : inv_diag_(checked_inverse_diagonal(a, "Jacobi preconditioner")) {}
 
-void JacobiPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
+void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
   telemetry::count(telemetry::Counter::kPrecondJacobiApplies);
-  scaled_copy(r, inv_diag_, z, threads);
+  scaled_copy(r, inv_diag_, z);
 }
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
@@ -302,7 +302,7 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
   }
 }
 
-void Ilu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == n_, "ILU(0) apply: size mismatch");
   telemetry::count(telemetry::Counter::kPrecondIlu0Applies);
   // Solve L y = r (unit lower triangular).
@@ -391,7 +391,7 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
   }
 }
 
-void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
+void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z) const {
   const std::size_t n = inv_pivot_.size();
   PH_REQUIRE(r.size() == n, "ILU(0) apply: size mismatch");
   telemetry::count(telemetry::Counter::kPrecondIlu0Applies);
@@ -400,7 +400,7 @@ void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t th
                      west_.data(), east_.data(), south_.data(), north_.data(),
                      down_.data(), up_.data(),   r.data(),      z.data()};
   const std::size_t bands =
-      n < util::kSerialCutoff ? 1 : std::min(util::region_executors(threads), ny_);
+      n < util::kSerialCutoff ? 1 : std::min(util::region_executors(), ny_);
   if (bands == 1) {
     for (std::size_t k = 0; k < nz_; ++k) {
       rows.forward(k, 0, ny_);
@@ -410,14 +410,15 @@ void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t th
     }
     return;
   }
-  // One chunk per band. Each waits only on the chunk claimed just before
-  // it, which the pool's index-ordered claiming guarantees progress for.
+  // One chunk per band, and at most one band per executor of the budget,
+  // so each region runs on `bands` executors. Each chunk waits only on the
+  // chunk claimed just before it, which the pool's index-ordered claiming
+  // guarantees progress for.
   BandedSweeps sweeps{rows, bands};
-  util::parallel_for(
-      bands, 1, [&sweeps](std::size_t b, std::size_t) { sweeps.forward(b); }, bands);
-  util::parallel_for(
-      bands, 1, [&sweeps](std::size_t c, std::size_t) { sweeps.backward(sweeps.bands - 1 - c); },
-      bands);
+  util::parallel_for(bands, 1, [&sweeps](std::size_t b, std::size_t) { sweeps.forward(b); });
+  util::parallel_for(bands, 1, [&sweeps](std::size_t c, std::size_t) {
+    sweeps.backward(sweeps.bands - 1 - c);
+  });
 }
 
 ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
@@ -443,7 +444,7 @@ ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
   lambda_min_ = std::min(lambda_min_, 0.95 * lambda_max_);
 }
 
-void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
+void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
   const std::size_t n = inv_diag_.size();
   PH_REQUIRE(r.size() == n, "Chebyshev apply: size mismatch");
   telemetry::count(telemetry::Counter::kPrecondChebyshevApplies);
@@ -465,7 +466,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
   if (n < util::kSerialCutoff) {
     first(0, n);
   } else {
-    util::parallel_for(n, util::kKernelGrain, first, threads);
+    util::parallel_for(n, util::kKernelGrain, first);
   }
   z = d;
   if (degree_ == 1) {
@@ -477,8 +478,8 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
   double rho = 1.0 / sigma;
   for (std::size_t k = 1; k < degree_; ++k) {
     // res -= A d (z just moved by d).
-    a_->apply(d, ad, threads);
-    axpy(-1.0, ad, res, threads);
+    a_->apply(d, ad);
+    axpy(-1.0, ad, res);
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double c_d = rho_next * rho;
     const double c_res = 2.0 * rho_next / delta;
@@ -491,7 +492,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
     if (n < util::kSerialCutoff) {
       update(0, n);
     } else {
-      util::parallel_for(n, util::kKernelGrain, update, threads);
+      util::parallel_for(n, util::kKernelGrain, update);
     }
     rho = rho_next;
   }

@@ -26,26 +26,26 @@ namespace photherm::math {
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  /// `threads` as in vector_ops.hpp: 0 = util::concurrency(), 1 = serial;
-  /// results are bit-identical for every value. The elementwise (Jacobi)
-  /// and SpMV-based (Chebyshev) applies thread chunk-ordered, and the
-  /// stencil ILU(0) pipelines its triangular sweeps across y-bands of the
-  /// grid (see StencilIlu0Preconditioner). The CSR ILU(0) triangular solves
-  /// run in natural row order and ignore the parameter.
-  virtual void apply(const Vector& r, Vector& z, std::size_t threads = 0) const = 0;
+  /// Threads within the util::concurrency() budget; results are
+  /// bit-identical at every thread count. The elementwise (Jacobi) and
+  /// SpMV-based (Chebyshev) applies thread chunk-ordered, and the stencil
+  /// ILU(0) pipelines its triangular sweeps across y-bands of the grid
+  /// (see StencilIlu0Preconditioner). The CSR ILU(0) triangular solves run
+  /// serially in natural row order.
+  virtual void apply(const Vector& r, Vector& z) const = 0;
 };
 
 /// Identity (no preconditioning).
 class IdentityPreconditioner final : public Preconditioner {
  public:
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 };
 
 /// Diagonal scaling.
 class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const LinearOperator& a);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   Vector inv_diag_;
@@ -71,7 +71,7 @@ inline constexpr double kIlu0Relaxation = 0.99;
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   // Factor stored on A's pattern: strictly-lower entries hold L (unit
@@ -110,19 +110,19 @@ class Ilu0Preconditioner final : public Preconditioner {
 ///
 /// Within one z-plane, rows couple only through their y-neighbours, so on
 /// meshes of at least util::kSerialCutoff cells the apply splits each
-/// plane's y-rows into B = min(util::region_executors(threads), ny)
-/// contiguous bands and runs each sweep as a plane pipeline (level
-/// scheduling, Saad ch. 11): band b starts plane k once band b-1 has
-/// finished it (band b+1 in the backward sweep), learned through a
-/// per-band plane counter. Every row performs the same operations at every
-/// B, so z is bit-identical at any thread count; B = 1 — one thread, a
-/// small mesh, or an apply inside a pool worker — is the serial path. The
-/// apply allocates nothing and keeps its counters on the stack, so
-/// concurrent applies on one object are safe.
+/// plane's y-rows into B = min(util::region_executors(), ny) contiguous
+/// bands and runs each sweep as a plane pipeline (level scheduling, Saad
+/// ch. 11): band b starts plane k once band b-1 has finished it (band b+1
+/// in the backward sweep), learned through a per-band plane counter. Every
+/// row performs the same operations at every B, so z is bit-identical at
+/// any thread count; B = 1 — a budget of one thread, a small mesh, or an
+/// apply inside a pool worker — is the serial path. The apply allocates
+/// nothing and keeps its counters on the stack, so concurrent applies on
+/// one object are safe.
 class StencilIlu0Preconditioner final : public Preconditioner {
  public:
   explicit StencilIlu0Preconditioner(const StencilOperator7& a);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   std::size_t nx_ = 0;
@@ -163,7 +163,7 @@ class ChebyshevPreconditioner final : public Preconditioner {
  public:
   explicit ChebyshevPreconditioner(const LinearOperator& a,
                                    const ChebyshevSettings& settings = {});
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
   double lambda_max() const { return lambda_max_; }
   double lambda_min() const { return lambda_min_; }

@@ -33,13 +33,13 @@ SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
                       const SolverMetrics& solver) {
   PH_REQUIRE(options.convergence_slack >= 1.0, "convergence_slack must be >= 1");
   Vector r;
-  a.apply(x, r, options.threads);
+  a.apply(x, r);
   for (std::size_t i = 0; i < r.size(); ++i) {
     r[i] = b[i] - r[i];
   }
   SolverResult result;
   result.iterations = iters;
-  result.residual_norm = norm2(r, options.threads);
+  result.residual_norm = norm2(r);
   result.relative_residual = norm_b > 0.0 ? result.residual_norm / norm_b : result.residual_norm;
   telemetry::count(solver.solves);
   telemetry::count(solver.iterations, iters);
@@ -55,13 +55,6 @@ SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
     throw SolverError(os.str());
   }
   return result;
-}
-
-/// Resolve the kernel thread count once per solve: `concurrency()` consults
-/// the environment, which is too much work to repeat on every dot/axpy of
-/// every iteration.
-std::size_t resolve_threads(const SolverOptions& options) {
-  return options.threads != 0 ? options.threads : util::concurrency();
 }
 
 /// Warm-start contract (see solvers.hpp): keep `x` as the initial guess
@@ -82,9 +75,8 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   telemetry::Span span("solver.conjugate_gradient");
   const std::size_t n = a.rows();
   prepare_initial_guess(x, n);
-  const std::size_t threads = resolve_threads(options);
 
-  const double norm_b = norm2(b, threads);
+  const double norm_b = norm2(b);
   if (norm_b == 0.0) {
     x.assign(n, 0.0);
     return {true, 0, 0.0, 0.0, {}};
@@ -98,22 +90,22 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   }
 
   Vector r;
-  a.apply(x, r, threads);
+  a.apply(x, r);
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - r[i];
   }
   Vector z(n);
-  precond.apply(r, z, threads);
+  precond.apply(r, z);
   Vector p = z;
   Vector ap(n);
-  double rz = dot(r, z, threads);
+  double rz = dot(r, z);
 
   std::vector<double> history;
   std::size_t it = 0;
   for (; it < options.max_iterations; ++it) {
     // The iteration's own stopping check; record_convergence captures
     // exactly this value, so the history costs no extra norm.
-    const double rel = norm2(r, threads) / norm_b;
+    const double rel = norm2(r) / norm_b;
     if (options.record_convergence) {
       history.push_back(rel);
       telemetry::counter("solver.conjugate_gradient.residual", rel, it);
@@ -121,8 +113,8 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     if (rel <= options.rel_tolerance) {
       break;
     }
-    a.apply(p, ap, threads);
-    const double p_ap = dot(p, ap, threads);
+    a.apply(p, ap);
+    const double p_ap = dot(p, ap);
     if (!std::isfinite(p_ap)) {
       throw SolverError(
           "CG breakdown: the iterate is not finite (p'Ap overflowed or is NaN); the initial "
@@ -130,13 +122,13 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     }
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = rz / p_ap;
-    axpy(alpha, p, x, threads);
-    axpy(-alpha, ap, r, threads);
-    precond.apply(r, z, threads);
-    const double rz_next = dot(r, z, threads);
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    precond.apply(r, z);
+    const double rz_next = dot(r, z);
     const double beta = rz_next / rz;
     rz = rz_next;
-    xpby(z, beta, p, threads);
+    xpby(z, beta, p);
   }
   SolverResult result = finalize(a, b, x, it, norm_b, options, kCgMetrics);
   result.convergence = std::move(history);
@@ -159,8 +151,7 @@ SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
   const auto& row_ptr = a.row_ptr();
   const auto& col_idx = a.col_idx();
   const auto& values = a.values();
-  const std::size_t threads = resolve_threads(options);
-  const double norm_b = norm2(b, threads);
+  const double norm_b = norm2(b);
   if (norm_b == 0.0) {
     x.assign(n, 0.0);
     return {true, 0, 0.0, 0.0, {}};
@@ -198,11 +189,11 @@ SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
     const bool update_stalled = max_delta <= options.rel_tolerance * std::max(1.0, max_x) &&
                                 max_delta <= stall_check_gate;
     if (it % 10 == 9 || it + 1 == options.max_iterations || update_stalled) {
-      Vector r = a.multiply(x, threads);
+      Vector r = a.multiply(x);
       for (std::size_t i = 0; i < n; ++i) {
         r[i] = b[i] - r[i];
       }
-      const double rel_res = norm2(r, threads) / norm_b;
+      const double rel_res = norm2(r) / norm_b;
       if (rel_res <= options.rel_tolerance) {
         ++it;
         break;

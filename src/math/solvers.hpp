@@ -26,10 +26,6 @@ struct SolverOptions {
   /// stack) opt into a small explicit slack instead of the old behaviour of
   /// silently accepting 10x the requested tolerance.
   double convergence_slack = 1.0;
-  /// Worker threads for the SpMV / vector kernels inside the solve.
-  /// 0 = util::concurrency(); 1 = serial. Results are bit-identical for
-  /// every value (see thread_pool.hpp).
-  std::size_t threads = 0;
   /// Capture the per-iteration recursive relative residual (||r|| / ||b||
   /// at the top of each CG iteration, including the final accepted
   /// check) into SolverResult::convergence, and — when telemetry is

@@ -48,7 +48,7 @@ StencilOperator7::StencilOperator7(std::size_t nx, std::size_t ny, std::size_t n
   up_.assign(n_, 0.0);
 }
 
-void StencilOperator7::apply(const Vector& x, Vector& y, std::size_t threads) const {
+void StencilOperator7::apply(const Vector& x, Vector& y) const {
   PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
   telemetry::count(telemetry::Counter::kSpmvStencil);
   y.resize(n_);
@@ -95,7 +95,7 @@ void StencilOperator7::apply(const Vector& x, Vector& y, std::size_t threads) co
     rows_kernel(0, n_);
     return;
   }
-  util::parallel_for(n_, util::kKernelGrain, rows_kernel, threads);
+  util::parallel_for(n_, util::kKernelGrain, rows_kernel);
 }
 
 std::unique_ptr<LinearOperator> StencilOperator7::clone() const {

@@ -49,7 +49,7 @@ class StencilOperator7 final : public LinearOperator {
   const Vector& up() const { return up_; }
   const Vector& down() const { return down_; }
 
-  void apply(const Vector& x, Vector& y, std::size_t threads = 0) const override;
+  void apply(const Vector& x, Vector& y) const override;
   Vector diagonal() const override { return diag_; }
   std::unique_ptr<LinearOperator> clone() const override;
   double scaled_row_sum_bound(const Vector& scale) const override;

@@ -3,12 +3,12 @@
 /// Kept header-only so the compiler can inline the hot loops.
 ///
 /// Vectors below `util::kSerialCutoff` elements take the straight serial
-/// path; larger ones dispatch chunks onto the shared thread pool. The
-/// reductions (`dot`, `norm2`) accumulate fixed-size per-chunk partials and
-/// sum them in chunk order, so their result depends only on the vector
-/// size — never on the thread count — and every solver trajectory is
-/// bit-reproducible at 1, 2 or N threads. `threads == 0` means
-/// `util::concurrency()`.
+/// path; larger ones dispatch chunks onto the shared thread pool within
+/// the `util::concurrency()` budget. The reductions (`dot`, `norm2`)
+/// accumulate fixed-size per-chunk partials and sum them in chunk order, so
+/// their result depends only on the vector size — never on the thread
+/// count — and every solver trajectory is bit-reproducible at 1, 2 or N
+/// threads.
 #pragma once
 
 #include <cmath>
@@ -21,7 +21,7 @@ namespace photherm::math {
 
 using Vector = std::vector<double>;
 
-inline double dot(const Vector& a, const Vector& b, std::size_t threads = 0) {
+inline double dot(const Vector& a, const Vector& b) {
   PH_REQUIRE(a.size() == b.size(), "dot: size mismatch");
   const std::size_t n = a.size();
   if (n < util::kSerialCutoff) {
@@ -40,15 +40,13 @@ inline double dot(const Vector& a, const Vector& b, std::size_t threads = 0) {
         }
         return acc;
       },
-      [](double acc, double p) { return acc + p; }, threads);
+      [](double acc, double p) { return acc + p; });
 }
 
-inline double norm2(const Vector& a, std::size_t threads = 0) {
-  return std::sqrt(dot(a, a, threads));
-}
+inline double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 /// y += alpha * x
-inline void axpy(double alpha, const Vector& x, Vector& y, std::size_t threads = 0) {
+inline void axpy(double alpha, const Vector& x, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
   if (x.size() < util::kSerialCutoff) {
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -56,18 +54,15 @@ inline void axpy(double alpha, const Vector& x, Vector& y, std::size_t threads =
     }
     return;
   }
-  util::parallel_for(
-      x.size(), util::kKernelGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          y[i] += alpha * x[i];
-        }
-      },
-      threads);
+  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      y[i] += alpha * x[i];
+    }
+  });
 }
 
 /// y = x + beta * y
-inline void xpby(const Vector& x, double beta, Vector& y, std::size_t threads = 0) {
+inline void xpby(const Vector& x, double beta, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "xpby: size mismatch");
   if (x.size() < util::kSerialCutoff) {
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -75,14 +70,11 @@ inline void xpby(const Vector& x, double beta, Vector& y, std::size_t threads = 
     }
     return;
   }
-  util::parallel_for(
-      x.size(), util::kKernelGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          y[i] = x[i] + beta * y[i];
-        }
-      },
-      threads);
+  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      y[i] = x[i] + beta * y[i];
+    }
+  });
 }
 
 inline void scale(double alpha, Vector& x) {

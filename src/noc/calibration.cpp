@@ -35,8 +35,7 @@ RingTrim trim_for_misalignment(double misalignment, const CalibrationParams& par
 
 namespace {
 CalibrationPlan plan_from_misalignments(const std::vector<double>& misalignments,
-                                        const CalibrationParams& params,
-                                        std::size_t threads) {
+                                        const CalibrationParams& params) {
   const std::size_t n = misalignments.size();
   CalibrationPlan plan;
   plan.trims.resize(n);
@@ -59,8 +58,7 @@ CalibrationPlan plan_from_misalignments(const std::vector<double>& misalignments
         acc.first += t.first;
         acc.second += t.second;
         return acc;
-      },
-      threads);
+      });
   plan.total_power = total_power;
   plan.heater_count = heater_count;
   return plan;
@@ -68,23 +66,21 @@ CalibrationPlan plan_from_misalignments(const std::vector<double>& misalignments
 }  // namespace
 
 CalibrationPlan per_ring_plan(const std::vector<double>& ring_temperature_errors,
-                              const CalibrationParams& params, std::size_t threads) {
+                              const CalibrationParams& params) {
   PH_REQUIRE(!ring_temperature_errors.empty(), "no rings to calibrate");
-  std::vector<double> misalignments(ring_temperature_errors.size());
-  util::parallel_for(
-      ring_temperature_errors.size(), util::kKernelGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          misalignments[i] = ring_temperature_errors[i] * params.thermal_sensitivity;
-        }
-      },
-      threads);
-  return plan_from_misalignments(misalignments, params, threads);
+  const std::size_t n = ring_temperature_errors.size();
+  std::vector<double> misalignments(n);
+  util::parallel_for(n, util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      misalignments[i] = ring_temperature_errors[i] * params.thermal_sensitivity;
+    }
+  });
+  return plan_from_misalignments(misalignments, params);
 }
 
 ClusteredPlan clustered_plan(const std::vector<double>& ring_temperature_errors,
                              const std::vector<std::size_t>& cluster_of,
-                             const CalibrationParams& params, std::size_t threads) {
+                             const CalibrationParams& params) {
   PH_REQUIRE(ring_temperature_errors.size() == cluster_of.size(),
              "one cluster id per ring required");
   PH_REQUIRE(!ring_temperature_errors.empty(), "no rings to calibrate");
@@ -106,7 +102,7 @@ ClusteredPlan clustered_plan(const std::vector<double>& ring_temperature_errors,
   }
 
   ClusteredPlan result;
-  result.plan = plan_from_misalignments(cluster_misalignments, params, threads);
+  result.plan = plan_from_misalignments(cluster_misalignments, params);
   result.worst_residual = util::parallel_reduce(
       cluster_of.size(), util::kKernelGrain, 0.0,
       [&](std::size_t begin, std::size_t end) {
@@ -118,7 +114,7 @@ ClusteredPlan clustered_plan(const std::vector<double>& ring_temperature_errors,
         }
         return worst;
       },
-      [](double acc, double w) { return std::max(acc, w); }, threads);
+      [](double acc, double w) { return std::max(acc, w); });
   return result;
 }
 

@@ -44,11 +44,11 @@ struct CalibrationPlan {
 
 /// Per-ring calibration: each ring gets its own trim. Rings are trimmed
 /// independently, so network-scale plans (Corona: ~1.1e6 MRs) are computed
-/// on the shared thread pool; `threads == 0` means `util::concurrency()`,
-/// and the plan (order, powers, totals) is bit-identical for every thread
+/// on the shared thread pool within the `util::concurrency()` budget, and
+/// the plan (order, powers, totals) is bit-identical for every thread
 /// count.
 CalibrationPlan per_ring_plan(const std::vector<double>& ring_temperature_errors,
-                              const CalibrationParams& params, std::size_t threads = 0);
+                              const CalibrationParams& params);
 
 /// Clustered calibration: rings are grouped (e.g. one cluster per ONI) and
 /// each cluster is trimmed by its *mean* error; the residual within-cluster
@@ -63,7 +63,7 @@ struct ClusteredPlan {
 /// max-reduction, which is order-independent).
 ClusteredPlan clustered_plan(const std::vector<double>& ring_temperature_errors,
                              const std::vector<std::size_t>& cluster_of,
-                             const CalibrationParams& params, std::size_t threads = 0);
+                             const CalibrationParams& params);
 
 /// The Sec. III-B headline: estimated calibration power for `ring_count`
 /// rings with a typical absolute misalignment `typical_misalignment` [m]

@@ -37,17 +37,14 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
     // Cold path: every scenario performs its own coarse solve. Reports land
     // at their scenario's index, so order and values are thread-count
     // independent.
-    util::parallel_for(
-        n, 1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
-            telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
-            with_error_context("scenario `" + scenarios[i].name + "`",
-                               [&] { result.reports[i] = designers[i].run(); });
-          }
-        },
-        options_.threads);
+    util::parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
+        telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
+        with_error_context("scenario `" + scenarios[i].name + "`",
+                           [&] { result.reports[i] = designers[i].run(); });
+      }
+    });
     result.stats.global_solves = n;
     telemetry::count(telemetry::Counter::kBatchCacheMisses, n);
     return result;
@@ -74,32 +71,24 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
 
   // Coarse pass: one global solve per distinct scene, in parallel.
   std::vector<std::optional<core::CoarseGlobalSolve>> globals(representative.size());
-  util::parallel_for(
-      representative.size(), 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t g = begin; g < end; ++g) {
-          telemetry::Span span("batch.global_solve",
-                               scenarios[representative[g]].name.c_str());
-          with_error_context("scenario `" + scenarios[representative[g]].name + "`",
-                             [&] { globals[g] = designers[representative[g]].solve_global(); });
-        }
-      },
-      options_.threads);
+  util::parallel_for(representative.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      telemetry::Span span("batch.global_solve", scenarios[representative[g]].name.c_str());
+      with_error_context("scenario `" + scenarios[representative[g]].name + "`",
+                         [&] { globals[g] = designers[representative[g]].solve_global(); });
+    }
+  });
 
   // Fine pass: every scenario refines its ONI windows on its group's
   // shared coarse field (read-only, safe to share across workers).
-  util::parallel_for(
-      n, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
-          telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
-          with_error_context(
-              "scenario `" + scenarios[i].name + "`",
-              [&] { result.reports[i] = designers[i].run(*globals[group_of[i]]); });
-        }
-      },
-      options_.threads);
+  util::parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
+      telemetry::ScopedTimer wall(telemetry::Timer::kBatchScenarioWall);
+      with_error_context("scenario `" + scenarios[i].name + "`",
+                         [&] { result.reports[i] = designers[i].run(*globals[group_of[i]]); });
+    }
+  });
 
   result.stats.global_solves = representative.size();
   result.stats.cache_hits = n - representative.size();

@@ -1,11 +1,12 @@
 /// \file batch_runner.hpp
 /// \brief Cached batch execution of scenario lists. Scenarios are
 /// independent design-point evaluations, so they dispatch onto the shared
-/// thread pool (util/thread_pool.hpp) and are collected in index order —
-/// results are bit-identical for every thread count. A keyed cache shares
-/// the coarse global ThermalField across scenarios whose global scene is
-/// identical (core::ThermalAwareDesigner::global_scene_key), e.g. scenarios
-/// that differ only in SNR knobs or local window resolution; cache hits are
+/// thread pool (util/thread_pool.hpp) within the util::concurrency()
+/// budget and are collected in index order — results are bit-identical for
+/// every thread count. A keyed cache shares the coarse global ThermalField
+/// across scenarios whose global scene is identical
+/// (core::ThermalAwareDesigner::global_scene_key), e.g. scenarios that
+/// differ only in SNR knobs or local window resolution; cache hits are
 /// bit-identical to cold solves because the solver itself is deterministic.
 #pragma once
 
@@ -17,8 +18,6 @@
 namespace photherm::scenario {
 
 struct BatchOptions {
-  /// Concurrent scenario evaluations. 0 = util::concurrency(); 1 = serial.
-  std::size_t threads = 0;
   /// Coarse-solve cache: share the global ThermalField across scenarios
   /// with equal scene keys. Off solves every scenario cold; the reports are
   /// bit-identical either way.

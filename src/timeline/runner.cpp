@@ -66,28 +66,25 @@ TimelineBatchResult TimelineRunner::play(
   // Playbacks are independent; traces land at their scenario's index, so
   // order and values do not depend on the thread count. Nested regions (the
   // CG kernels inside each playback) run inline on the worker.
-  util::parallel_for(
-      n, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          telemetry::Span span("playback.scenario", scenarios[i].name.c_str());
-          telemetry::ScopedTimer wall(telemetry::Timer::kPlaybackScenarioWall);
-          telemetry::count(telemetry::Counter::kPlaybackScenarios);
-          with_error_context("scenario `" + scenarios[i].name + "`", [&] {
-            Playback playback = resume_from[i] != nullptr
-                                    ? Playback(scenarios[i], options_.playback, *resume_from[i])
-                                    : Playback(scenarios[i], options_.playback);
-            playback.run(pause);
-            if (!playback.finished()) {
-              checkpoints[i] = playback.checkpoint();
-              paused[i] = 1;
-              telemetry::instant(telemetry::Counter::kCheckpointPauses);
-            }
-            result.traces[i] = playback.take_trace();
-          });
+  util::parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      telemetry::Span span("playback.scenario", scenarios[i].name.c_str());
+      telemetry::ScopedTimer wall(telemetry::Timer::kPlaybackScenarioWall);
+      telemetry::count(telemetry::Counter::kPlaybackScenarios);
+      with_error_context("scenario `" + scenarios[i].name + "`", [&] {
+        Playback playback = resume_from[i] != nullptr
+                                ? Playback(scenarios[i], options_.playback, *resume_from[i])
+                                : Playback(scenarios[i], options_.playback);
+        playback.run(pause);
+        if (!playback.finished()) {
+          checkpoints[i] = playback.checkpoint();
+          paused[i] = 1;
+          telemetry::instant(telemetry::Counter::kCheckpointPauses);
         }
-      },
-      options_.threads);
+        result.traces[i] = playback.take_trace();
+      });
+    }
+  });
 
   result.stats.scenario_count = n;
   for (std::size_t i = 0; i < n; ++i) {

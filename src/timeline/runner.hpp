@@ -1,9 +1,10 @@
 /// \file runner.hpp
 /// \brief Batch transient playback: N scenarios dispatched onto the shared
-/// thread pool (util/thread_pool.hpp), traces collected in index order —
-/// results are bit-identical for every thread count, matching the
-/// BatchRunner guarantee of the steady-state scenario engine. The tables
-/// render the traces as the CLI's `play` CSV payloads.
+/// thread pool (util/thread_pool.hpp) within the util::concurrency()
+/// budget, traces collected in index order — results are bit-identical for
+/// every thread count, matching the BatchRunner guarantee of the
+/// steady-state scenario engine. The tables render the traces as the CLI's
+/// `play` CSV payloads.
 ///
 /// Long playbacks can pause and continue: with pause_after_steps set, run()
 /// stops every playback after that many steps and returns per-scenario
@@ -21,8 +22,6 @@
 namespace photherm::timeline {
 
 struct TimelineBatchOptions {
-  /// Concurrent scenario playbacks. 0 = util::concurrency(); 1 = serial.
-  std::size_t threads = 0;
   PlaybackOptions playback;
   /// Pause every playback after at most this many (further) steps and
   /// report checkpoints instead of playing to completion. 0 = never pause.

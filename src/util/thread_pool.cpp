@@ -18,13 +18,19 @@ namespace photherm::util {
 
 namespace {
 
-std::atomic<std::size_t> g_concurrency_override{0};
+/// The thread budget, already clamped to kMaxThreads; 0 until the default
+/// is resolved. Holding the resolved default here keeps getenv and
+/// hardware_concurrency off the kernels' path.
+std::atomic<std::size_t> g_concurrency{0};
 
 std::size_t default_concurrency() {
   if (const char* env = std::getenv("PHOTHERM_THREADS")) {
+    // Only a whole positive integer counts: "2 threads" or "3.9" is as
+    // malformed as "not-a-number". An overflowing value reads as LONG_MAX
+    // and is clamped like any other oversized count.
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) {
+    if (end != env && *end == '\0' && parsed > 0) {
       return static_cast<std::size_t>(parsed);
     }
   }
@@ -39,13 +45,20 @@ thread_local bool t_in_pool_worker = false;
 }  // namespace
 
 std::size_t concurrency() {
-  const std::size_t forced = g_concurrency_override.load(std::memory_order_relaxed);
-  const std::size_t resolved = forced > 0 ? forced : default_concurrency();
-  return resolved < kMaxThreads ? resolved : kMaxThreads;
+  std::size_t budget = g_concurrency.load(std::memory_order_relaxed);
+  if (budget == 0) {
+    // Store the default only while the budget is still unresolved, so a
+    // racing set_concurrency wins (and a failed exchange loads its value).
+    const std::size_t resolved = std::min(default_concurrency(), kMaxThreads);
+    if (g_concurrency.compare_exchange_strong(budget, resolved, std::memory_order_relaxed)) {
+      budget = resolved;
+    }
+  }
+  return budget;
 }
 
 void set_concurrency(std::size_t threads) {
-  g_concurrency_override.store(threads, std::memory_order_relaxed);
+  g_concurrency.store(std::min(threads, kMaxThreads), std::memory_order_relaxed);
 }
 
 struct ThreadPool::Impl {
@@ -162,27 +175,22 @@ void ThreadPool::ensure_size(std::size_t thread_count) {
   }
 }
 
-void ThreadPool::run(std::size_t chunk_count, std::size_t max_threads,
-                     const std::function<void(std::size_t)>& chunk_fn) {
+void ThreadPool::run(std::size_t chunk_count, const std::function<void(std::size_t)>& chunk_fn) {
   if (chunk_count == 0) {
     return;
   }
-  if (max_threads == 0) {
-    max_threads = concurrency();
-  }
-  max_threads = std::min(max_threads, kMaxThreads);
-  // Serial paths: a single chunk, a single-thread request, or a nested call
-  // from a worker (re-entering the pool from a worker could deadlock).
-  if (chunk_count == 1 || max_threads <= 1 || t_in_pool_worker) {
+  // More executors than chunks would spawn persistent workers (the pool
+  // never shrinks) that can never receive work.
+  const std::size_t executors = std::min(concurrency(), chunk_count);
+  // Serial paths: a single chunk, a budget of one, or a nested call from a
+  // worker (re-entering the pool from a worker could deadlock).
+  if (executors <= 1 || t_in_pool_worker) {
     for (std::size_t i = 0; i < chunk_count; ++i) {
       chunk_fn(i);
     }
     return;
   }
 
-  // More executors than chunks would spawn persistent workers (the pool
-  // never shrinks) that can never receive work.
-  const std::size_t executors = std::min(max_threads, chunk_count);
   ensure_size(executors - 1);
   auto job = std::make_shared<Impl::Job>();
   job->fn = chunk_fn;
@@ -230,30 +238,21 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-std::size_t region_executors(std::size_t threads) {
-  if (t_in_pool_worker) {
-    return 1;
-  }
-  return threads == 0 ? concurrency() : std::min(threads, kMaxThreads);
-}
+std::size_t region_executors() { return t_in_pool_worker ? 1 : concurrency(); }
 
 void parallel_for(std::size_t count, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t threads) {
+                  const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) {
     return;
   }
   PH_REQUIRE(grain > 0, "parallel_for: grain must be positive");
-  if (threads == 0) {
-    threads = concurrency();
-  }
   const std::size_t chunks = (count + grain - 1) / grain;
   auto run_chunk = [&](std::size_t chunk) {
     const std::size_t begin = chunk * grain;
     const std::size_t end = begin + grain < count ? begin + grain : count;
     body(begin, end);
   };
-  if (chunks == 1 || threads <= 1 || t_in_pool_worker) {
+  if (chunks == 1 || region_executors() <= 1) {
     // Same chunk boundaries as the parallel path so reductions that key off
     // chunk indices stay bit-identical across thread counts.
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
@@ -261,7 +260,7 @@ void parallel_for(std::size_t count, std::size_t grain,
     }
     return;
   }
-  ThreadPool::shared().run(chunks, threads, run_chunk);
+  ThreadPool::shared().run(chunks, run_chunk);
 }
 
 }  // namespace photherm::util

@@ -14,6 +14,9 @@
 ///  2. **No nested oversubscription.** A `parallel_for` issued from inside
 ///     a pool worker (e.g. an SpMV inside a parallel sweep task) runs
 ///     inline on the calling worker instead of re-entering the pool.
+///  3. **One budget.** No region takes a thread count of its own: every
+///     region runs on at most `concurrency()` executors, the caller
+///     included, so `set_concurrency(n)` bounds all of them.
 ///
 /// The pool is work-stealing-free by design: chunks are handed out from a
 /// single atomic cursor, which is cheap at the grain sizes used here and
@@ -27,17 +30,20 @@
 namespace photherm::util {
 
 /// Hard ceiling on pool workers. Requests beyond it (a typo'd
-/// `PHOTHERM_THREADS=100000`, a huge `threads` option) are clamped instead
-/// of spawning OS threads until creation fails.
+/// `PHOTHERM_THREADS=100000`, a huge `set_concurrency` argument) are
+/// clamped instead of spawning OS threads until creation fails.
 inline constexpr std::size_t kMaxThreads = 256;
 
-/// Process-wide concurrency knob. Resolution order: the value set by
-/// `set_concurrency` (if non-zero), else the `PHOTHERM_THREADS` environment
-/// variable (if set and positive), else `std::thread::hardware_concurrency`.
-/// Always at least 1, at most `kMaxThreads`.
+/// The process-wide thread budget every parallel region sizes itself
+/// from. Resolution order: the value set by `set_concurrency` (if
+/// non-zero), else the `PHOTHERM_THREADS` environment variable (if it is a
+/// whole positive integer; anything else is ignored), else
+/// `std::thread::hardware_concurrency`. Always at least 1, at most
+/// `kMaxThreads`. The default is resolved on first use and again after
+/// `set_concurrency(0)`, and kept, so a call costs one atomic load.
 std::size_t concurrency();
 
-/// Override the concurrency knob for this process (0 restores the
+/// Set the thread budget for this process (0 restores the
 /// environment/hardware default). Thread counts above the hardware level
 /// are honoured up to `kMaxThreads` (useful for oversubscription tests).
 void set_concurrency(std::size_t threads);
@@ -56,10 +62,11 @@ class ThreadPool {
   std::size_t size() const;
 
   /// Execute `chunk_fn(0) .. chunk_fn(chunk_count - 1)`, each exactly once,
-  /// across at most `max_threads` executors (including the caller). Blocks
-  /// until every chunk finished. The first exception thrown by a chunk is
-  /// rethrown on the caller after all chunks complete or drain. Calls from
-  /// inside a pool worker run inline (serially) on that worker.
+  /// across at most `min(concurrency(), chunk_count)` executors (including
+  /// the caller), growing the pool to fit. Blocks until every chunk
+  /// finished. The first exception thrown by a chunk is rethrown on the
+  /// caller after all chunks complete or drain. Calls from inside a pool
+  /// worker run inline (serially) on that worker.
   ///
   /// Progress contract: executors claim chunks from one cursor in index
   /// order, a claimed chunk runs to completion on its executor, and inline
@@ -76,8 +83,7 @@ class ThreadPool {
   /// workers and the earlier one degrades towards serial. Issue concurrent
   /// regions from one thread at a time — parallelism belongs inside a
   /// region, not across regions.
-  void run(std::size_t chunk_count, std::size_t max_threads,
-           const std::function<void(std::size_t)>& chunk_fn);
+  void run(std::size_t chunk_count, const std::function<void(std::size_t)>& chunk_fn);
 
   /// The process-wide pool used by `parallel_for`. Created on first use
   /// with `concurrency() - 1` workers and grown on demand, never shrunk.
@@ -94,21 +100,19 @@ class ThreadPool {
 /// Deterministic chunked parallel loop over `[0, count)` on the shared
 /// pool. `body(begin, end)` is invoked once per chunk of at most `grain`
 /// consecutive indices; chunk boundaries depend only on `count` and
-/// `grain`, never on `threads`, so per-chunk reductions are reproducible
-/// across thread counts. `threads == 0` means `concurrency()`; `1` runs
-/// serially without touching the pool (same chunk boundaries). Chunks
-/// follow ThreadPool::run's progress contract: chunk c may wait on chunks
-/// below c, never above.
+/// `grain`, never on the thread budget, so per-chunk reductions are
+/// reproducible across thread counts. Runs serially without touching the
+/// pool (same chunk boundaries) for a single chunk, inside a pool worker,
+/// or when `concurrency() <= 1`. Chunks follow ThreadPool::run's progress
+/// contract: chunk c may wait on chunks below c, never above.
 void parallel_for(std::size_t count, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t threads = 0);
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Executors a parallel region issued from the calling thread with
-/// `threads` would get: 1 inside a pool worker, where regions run inline,
-/// else `threads` resolved as in parallel_for (0 = concurrency()) and
-/// capped at kMaxThreads. For kernels whose work split, not their result,
-/// follows the executor count.
-std::size_t region_executors(std::size_t threads);
+/// Executors a parallel region issued from the calling thread would get:
+/// 1 inside a pool worker, where regions run inline, else `concurrency()`.
+/// For kernels whose work split, not their result, follows the executor
+/// count.
+std::size_t region_executors();
 
 /// Deterministic chunked reduction over `[0, count)`: `chunk_fn(begin, end)`
 /// produces one partial per chunk (chunk boundaries as in `parallel_for`),
@@ -119,15 +123,14 @@ std::size_t region_executors(std::size_t threads);
 /// math kernels and calibration plans all go through it.
 template <typename T, typename ChunkFn, typename CombineFn>
 T parallel_reduce(std::size_t count, std::size_t grain, T init, const ChunkFn& chunk_fn,
-                  const CombineFn& combine, std::size_t threads = 0) {
+                  const CombineFn& combine) {
   if (count == 0) {
     return init;
   }
   std::vector<T> partial((count + grain - 1) / grain);
-  parallel_for(
-      count, grain,
-      [&](std::size_t begin, std::size_t end) { partial[begin / grain] = chunk_fn(begin, end); },
-      threads);
+  parallel_for(count, grain, [&](std::size_t begin, std::size_t end) {
+    partial[begin / grain] = chunk_fn(begin, end);
+  });
   T acc = init;
   for (const T& p : partial) {
     acc = combine(acc, p);

@@ -1,7 +1,8 @@
 /// \file fixtures.hpp
-/// \brief Shared scene/spec builders for the test suites. Keeps the
-/// "uniform slab + block heater" and "coarse OnocDesignSpec" setups in one
-/// place instead of re-declaring them in every test file.
+/// \brief Shared scene/spec builders and the thread-budget guard for the
+/// test suites. Keeps the "uniform slab + block heater" and "coarse
+/// OnocDesignSpec" setups in one place instead of re-declaring them in
+/// every test file.
 #pragma once
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "math/stencil_operator.hpp"
 #include "mesh/mesh.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace photherm::fixtures {
 
@@ -97,5 +99,17 @@ inline math::StencilOperator7 diagonally_dominant_stencil(std::size_t nx, std::s
   }
   return op;
 }
+
+/// Runs one scope under a thread budget of `threads`
+/// (util::set_concurrency) and restores the environment/hardware default
+/// on exit, so a test can run its workload "at N threads" without leaking
+/// the budget into what follows.
+class ScopedConcurrency {
+ public:
+  explicit ScopedConcurrency(std::size_t threads) { util::set_concurrency(threads); }
+  ~ScopedConcurrency() { util::set_concurrency(0); }
+  ScopedConcurrency(const ScopedConcurrency&) = delete;
+  ScopedConcurrency& operator=(const ScopedConcurrency&) = delete;
+};
 
 }  // namespace photherm::fixtures

@@ -16,6 +16,8 @@
 namespace photherm {
 namespace {
 
+using fixtures::ScopedConcurrency;
+
 core::OnocDesignSpec sweep_spec() {
   core::OnocDesignSpec spec = fixtures::coarse_onoc_spec();
   // Coarse enough that a handful of grid points stays test-sized.
@@ -38,9 +40,8 @@ TEST(ParallelSweep, VcselChipPowerGridIsBitIdenticalAcrossThreadCounts) {
   const std::vector<double> p_vcsel{0.0, 6e-3};
 
   const auto at = [&](std::size_t threads) {
-    core::SweepOptions sweep;
-    sweep.threads = threads;
-    return core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel, sweep);
+    ScopedConcurrency budget(threads);
+    return core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel);
   };
   const auto serial = at(1);
   ASSERT_EQ(serial.size(), 4u);
@@ -53,9 +54,8 @@ TEST(ParallelSweep, HeaterRatioSweepIsBitIdenticalAcrossThreadCounts) {
   const std::vector<double> ratios{0.0, 0.3, 0.6};
 
   const auto at = [&](std::size_t threads) {
-    core::SweepOptions sweep;
-    sweep.threads = threads;
-    return core::explore_heater_ratios(spec, ratios, sweep);
+    ScopedConcurrency budget(threads);
+    return core::explore_heater_ratios(spec, ratios);
   };
   const auto serial = at(1);
   ASSERT_EQ(serial.size(), ratios.size());
@@ -91,12 +91,14 @@ TEST(ParallelSweep, OniWindowLoopIsBitIdenticalAcrossThreadCounts) {
   const core::ThermalAwareDesigner designer(spec);
   const core::CoarseGlobalSolve global = designer.solve_global();
 
-  const core::ThermalReport serial = designer.evaluate_thermal(global, std::nullopt, 1);
+  const auto at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
+    return designer.evaluate_thermal(global);
+  };
+  const core::ThermalReport serial = at(1);
   ASSERT_EQ(serial.onis.size(), 4u);
-  expect_same_thermal(serial, designer.evaluate_thermal(global, std::nullopt, 2),
-                      "2 threads vs serial");
-  expect_same_thermal(serial, designer.evaluate_thermal(global, std::nullopt, 8),
-                      "8 threads (oversubscribed) vs serial");
+  expect_same_thermal(serial, at(2), "2 threads vs serial");
+  expect_same_thermal(serial, at(8), "8 threads (oversubscribed) vs serial");
 }
 
 TEST(ParallelSweep, SharedCoarseSolveMatchesColdSolveBitForBit) {
@@ -131,9 +133,13 @@ TEST(ParallelSweep, CalibrationPlansAreBitIdenticalAcrossThreadCounts) {
   }
   const noc::CalibrationParams params;
 
-  const auto serial = noc::per_ring_plan(errors, params, 1);
+  const auto per_ring_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
+    return noc::per_ring_plan(errors, params);
+  };
+  const auto serial = per_ring_at(1);
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto parallel = noc::per_ring_plan(errors, params, threads);
+    const auto parallel = per_ring_at(threads);
     ASSERT_EQ(parallel.trims.size(), serial.trims.size());
     EXPECT_EQ(parallel.total_power, serial.total_power) << threads << " threads";
     EXPECT_EQ(parallel.heater_count, serial.heater_count) << threads << " threads";
@@ -144,8 +150,12 @@ TEST(ParallelSweep, CalibrationPlansAreBitIdenticalAcrossThreadCounts) {
     }
   }
 
-  const auto serial_clustered = noc::clustered_plan(errors, clusters, params, 1);
-  const auto parallel_clustered = noc::clustered_plan(errors, clusters, params, 8);
+  const auto clustered_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
+    return noc::clustered_plan(errors, clusters, params);
+  };
+  const auto serial_clustered = clustered_at(1);
+  const auto parallel_clustered = clustered_at(8);
   EXPECT_EQ(parallel_clustered.plan.total_power, serial_clustered.plan.total_power);
   EXPECT_EQ(parallel_clustered.worst_residual, serial_clustered.worst_residual);
 }
@@ -172,10 +182,10 @@ TEST(ParallelSweep, ThreadedSolverIsBitIdenticalAcrossThreadCounts) {
   }
 
   const auto solve_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
     math::Vector x;
     math::SolverOptions options;
     options.preconditioner = math::PreconditionerKind::kJacobi;
-    options.threads = threads;
     const auto result = math::conjugate_gradient(a, b, x, options);
     EXPECT_TRUE(result.converged);
     return std::make_pair(x, result.iterations);
@@ -197,10 +207,10 @@ TEST(ParallelSweep, ThreadedSolverIsBitIdenticalAcrossThreadCounts) {
     v = rng.uniform(0.0, 1.0);
   }
   const auto ilu0_solve_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
     math::Vector x;
     math::SolverOptions options;
     options.preconditioner = math::PreconditionerKind::kIlu0;
-    options.threads = threads;
     const auto result = math::conjugate_gradient(stencil, heat, x, options);
     EXPECT_TRUE(result.converged);
     return std::make_pair(x, result.iterations);

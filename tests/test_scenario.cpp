@@ -224,9 +224,8 @@ TEST(ScenarioRegistry, BuiltinSuitesAreWellFormed) {
 TEST(ScenarioBatch, ReportsAreBitIdenticalAcrossThreadCounts) {
   const auto suite = fast_suite();
   const auto run_at = [&suite](std::size_t threads) {
-    BatchOptions options;
-    options.threads = threads;
-    return BatchRunner(options).run(suite);
+    fixtures::ScopedConcurrency budget(threads);
+    return BatchRunner().run(suite);
   };
   const BatchResult serial = run_at(1);
   const BatchResult threaded = run_at(4);
@@ -239,13 +238,11 @@ TEST(ScenarioBatch, ReportsAreBitIdenticalAcrossThreadCounts) {
 
 TEST(ScenarioBatch, CoarseSolveCacheIsBitIdenticalToColdSolves) {
   const auto suite = fast_suite();
+  fixtures::ScopedConcurrency budget(2);
   BatchOptions cold_options;
-  cold_options.threads = 2;
   cold_options.share_global_solves = false;
-  BatchOptions cached_options;
-  cached_options.threads = 2;
   const BatchResult cold = BatchRunner(cold_options).run(suite);
-  const BatchResult cached = BatchRunner(cached_options).run(suite);
+  const BatchResult cached = BatchRunner().run(suite);
 
   // Three WDM scenarios share one global scene; the hotspot one is its own.
   EXPECT_EQ(cold.stats.global_solves, suite.size());
@@ -291,9 +288,9 @@ TEST(ScenarioBatch, WorkerFailuresSurfaceAsErrorsNamingTheScenario) {
   poisoned.design.validate();  // the poison is invisible to validation
   suite.push_back(std::move(poisoned));
 
+  fixtures::ScopedConcurrency budget(4);
   for (bool share : {true, false}) {
     BatchOptions options;
-    options.threads = 4;
     options.share_global_solves = share;
     try {
       BatchRunner(options).run(suite);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "support/fixtures.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -356,11 +357,14 @@ TEST(Solvers, ConvergenceHistoryIsOffByDefaultAndDeterministic) {
   // Recording captures exactly the per-iteration stopping check: one entry
   // per iteration entered, monotone start, final entry at or under the
   // tolerance, and the solution bit-identical to the unrecorded solve.
-  Vector x1;
   SolverOptions record;
   record.record_convergence = true;
-  record.threads = 1;
-  const SolverResult serial = conjugate_gradient(a, b, x1, record);
+  const auto record_at = [&](std::size_t threads, Vector& x) {
+    fixtures::ScopedConcurrency budget(threads);
+    return conjugate_gradient(a, b, x, record);
+  };
+  Vector x1;
+  const SolverResult serial = record_at(1, x1);
   ASSERT_TRUE(serial.converged);
   ASSERT_FALSE(serial.convergence.empty());
   EXPECT_EQ(serial.convergence.size(), serial.iterations + 1);
@@ -373,8 +377,7 @@ TEST(Solvers, ConvergenceHistoryIsOffByDefaultAndDeterministic) {
   // The history is part of the determinism contract: 1 vs 4 threads must
   // produce bit-identical residual sequences.
   Vector x4;
-  record.threads = 4;
-  const SolverResult threaded = conjugate_gradient(a, b, x4, record);
+  const SolverResult threaded = record_at(4, x4);
   ASSERT_EQ(serial.convergence.size(), threaded.convergence.size());
   for (std::size_t i = 0; i < serial.convergence.size(); ++i) {
     ASSERT_EQ(serial.convergence[i], threaded.convergence[i]) << "iteration " << i;

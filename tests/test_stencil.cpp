@@ -26,6 +26,7 @@ namespace {
 
 using fixtures::add_heater;
 using fixtures::diagonally_dominant_stencil;
+using fixtures::ScopedConcurrency;
 using fixtures::uniform_mesh_options;
 using fixtures::uniform_slab;
 using geometry::Box3;
@@ -186,8 +187,8 @@ TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
   const std::size_t n = mesh.cell_count();
   const Vector x = random_vector(n, 3);
   Vector y_csr, y_stencil;
-  csr.matrix.apply(x, y_csr, 1);
-  stencil.op.apply(x, y_stencil, 1);
+  csr.matrix.apply(x, y_csr);
+  stencil.op.apply(x, y_stencil);
   double scale = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     scale = std::max(scale, std::abs(y_csr[i]));
@@ -217,10 +218,11 @@ TEST(Stencil, FromCsrAppliesBitIdenticallyToCsr) {
 
     const Vector x = random_vector(mesh->cell_count(), 11);
     Vector y_csr;
-    csr.matrix.apply(x, y_csr, 1);
+    csr.matrix.apply(x, y_csr);
     for (const std::size_t threads : {1u, 2u}) {
+      ScopedConcurrency budget(threads);
       Vector y_stencil;
-      op.apply(x, y_stencil, threads);
+      op.apply(x, y_stencil);
       EXPECT_EQ(y_csr, y_stencil) << threads << " threads";
     }
   }
@@ -254,12 +256,15 @@ TEST(Stencil, ApplyIsBitIdenticalAcrossThreadCounts) {
   const thermal::StencilSystem stencil = thermal::assemble_stencil(mesh, bcs);
   const Vector x = random_vector(mesh.cell_count(), 17);
 
-  Vector y1, y2, y4;
-  stencil.op.apply(x, y1, 1);
-  stencil.op.apply(x, y2, 2);
-  stencil.op.apply(x, y4, 4);
-  EXPECT_EQ(y1, y2);
-  EXPECT_EQ(y1, y4);
+  const auto apply_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
+    Vector y;
+    stencil.op.apply(x, y);
+    return y;
+  };
+  const Vector y1 = apply_at(1);
+  EXPECT_EQ(y1, apply_at(2));
+  EXPECT_EQ(y1, apply_at(4));
 }
 
 TEST(StencilIlu0, ApplyIsBitIdenticalAcrossThreadCounts) {
@@ -283,18 +288,20 @@ TEST(StencilIlu0, ApplyIsBitIdenticalAcrossThreadCounts) {
     // would poison the result; repeats give a missing wait more chances
     // to show.
     for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      ScopedConcurrency budget(threads);
       for (int repeat = 0; repeat < 8; ++repeat) {
         Vector z(op->rows(), std::numeric_limits<double>::quiet_NaN());
-        ilu0.apply(r, z, threads);
+        ilu0.apply(r, z);
         ASSERT_TRUE(same_bytes(z, reference)) << threads << " threads, repeat " << repeat;
       }
     }
 
     // Applies issued from inside pool workers, several at once on the one
     // object, run inline and produce the same bytes.
+    ScopedConcurrency budget(4);
     std::vector<Vector> nested(4);
-    util::parallel_for(
-        nested.size(), 1, [&](std::size_t b, std::size_t) { ilu0.apply(r, nested[b], 4); }, 4);
+    util::parallel_for(nested.size(), 1,
+                       [&](std::size_t b, std::size_t) { ilu0.apply(r, nested[b]); });
     for (const Vector& z : nested) {
       EXPECT_TRUE(same_bytes(z, reference)) << "nested in a parallel_for";
     }
@@ -359,7 +366,7 @@ TEST(Stencil, GershgorinBoundContainsJacobiScaledSpectrum) {
   Vector av(n);
   double estimate = 0.0;
   for (int iter = 0; iter < 30; ++iter) {
-    stencil.op.apply(v, av, 1);
+    stencil.op.apply(v, av);
     double norm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       av[i] *= inv_diag[i];
@@ -391,8 +398,8 @@ TEST(Chebyshev, PreconditionerIsSymmetric) {
   const Vector u = random_vector(n, 5);
   const Vector v = random_vector(n, 6);
   Vector mu, mv;
-  precond.apply(u, mu, 1);
-  precond.apply(v, mv, 1);
+  precond.apply(u, mu);
+  precond.apply(v, mv);
   double left = 0.0, right = 0.0, mag = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     left += mu[i] * v[i];
@@ -414,8 +421,8 @@ TEST(Chebyshev, SameResultOnCsrAndStencilForms) {
 
   const Vector r = random_vector(mesh.cell_count(), 9);
   Vector z_csr, z_stencil;
-  from_csr_matrix.apply(r, z_csr, 1);
-  from_stencil.apply(r, z_stencil, 1);
+  from_csr_matrix.apply(r, z_csr);
+  from_stencil.apply(r, z_stencil);
   EXPECT_EQ(z_csr, z_stencil);
 }
 
@@ -431,12 +438,15 @@ TEST(Chebyshev, ApplyIsBitIdenticalAcrossThreadCounts) {
   const ChebyshevPreconditioner precond(stencil.op);
 
   const Vector r = random_vector(mesh.cell_count(), 31);
-  Vector z1, z2, z4;
-  precond.apply(r, z1, 1);
-  precond.apply(r, z2, 2);
-  precond.apply(r, z4, 4);
-  EXPECT_EQ(z1, z2);
-  EXPECT_EQ(z1, z4);
+  const auto apply_at = [&](std::size_t threads) {
+    ScopedConcurrency budget(threads);
+    Vector z;
+    precond.apply(r, z);
+    return z;
+  };
+  const Vector z1 = apply_at(1);
+  EXPECT_EQ(z1, apply_at(2));
+  EXPECT_EQ(z1, apply_at(4));
 }
 
 TEST(Chebyshev, StencilCgMatchesIlu0CsrField) {
@@ -682,7 +692,7 @@ TEST(StencilIlu0, IsAnExactSolveOnEveryOneDimensionalGrid) {
     const StencilIlu0Preconditioner ilu0(op);
     const Vector x = random_vector(len, 43);
     Vector ax, z;
-    op.apply(x, ax, 1);
+    op.apply(x, ax);
     ilu0.apply(ax, z);
     for (std::size_t i = 0; i < len; ++i) {
       EXPECT_NEAR(z[i], x[i], 1e-13) << "row " << i;

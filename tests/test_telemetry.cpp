@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/fixtures.hpp"
 #include "util/csv.hpp"
 #include "util/thread_pool.hpp"
 
@@ -273,16 +274,14 @@ TEST_F(TelemetryTest, SpanNestingDepthAndContainment) {
 TEST_F(TelemetryTest, CountersAccumulateAcrossPoolWorkers) {
   set_enabled(true);
   constexpr std::size_t kChunks = 64;
-  util::parallel_for(
-      kChunks, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          Span span("worker.chunk");
-          count(Counter::kTransientSteps);
-          gauge(Gauge::kGaussSeidelRelativeResidual, static_cast<double>(i));
-        }
-      },
-      4);
+  fixtures::ScopedConcurrency budget(4);
+  util::parallel_for(kChunks, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      Span span("worker.chunk");
+      count(Counter::kTransientSteps);
+      gauge(Gauge::kGaussSeidelRelativeResidual, static_cast<double>(i));
+    }
+  });
   const auto rows = metrics_by_name();
   const auto& steps = rows.at("transient.steps");
   EXPECT_EQ(steps[3], "64");
@@ -394,14 +393,12 @@ TEST_F(TelemetryTest, HistogramsMergeDeterministicallyAcrossWorkers) {
   // The same multiset of durations recorded from pool workers must produce
   // the same percentiles as a serial recording: bucket counts are summed at
   // export, so the merge cannot depend on which thread saw which value.
-  util::parallel_for(
-      64, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          timer_add(Timer::kPlaybackScenarioWall, 100 * (i + 1));
-        }
-      },
-      4);
+  fixtures::ScopedConcurrency budget(4);
+  util::parallel_for(64, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      timer_add(Timer::kPlaybackScenarioWall, 100 * (i + 1));
+    }
+  });
   const auto rows = metrics_by_name();
   const auto& merged = rows.at("playback.scenario.wall");
   EXPECT_EQ(merged[2], "64");

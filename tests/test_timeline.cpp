@@ -165,8 +165,8 @@ TEST(Timeline, RunnerTracesAreBitIdenticalAcrossThreadCounts) {
   }
 
   const auto at = [&](std::size_t threads) {
+    fixtures::ScopedConcurrency budget(threads);
     timeline::TimelineBatchOptions options;
-    options.threads = threads;
     options.playback.time_step = 0.2;
     options.playback.max_periods = 3;
     options.playback.stop_on_settle = false;  // fixed horizon: equal shapes
@@ -346,8 +346,8 @@ TEST(TimelineRunner, WorkerFailuresSurfaceAsErrorsNamingTheScenario) {
   poisoned.design.validate();  // the poison is invisible to validation
   suite.push_back(std::move(poisoned));
 
+  fixtures::ScopedConcurrency budget(4);
   timeline::TimelineBatchOptions options;
-  options.threads = 4;
   options.playback.time_step = 0.2;
   options.playback.max_periods = 1;
   options.playback.stop_on_settle = false;
@@ -623,8 +623,8 @@ TEST(TimelineCheckpoint, RunnerPauseAndResumeMatchAtAnyThreadCount) {
   EXPECT_TRUE(uninterrupted.checkpoints.empty());
 
   const auto paused_then_resumed = [&](std::size_t threads) {
+    fixtures::ScopedConcurrency budget(threads);
     timeline::TimelineBatchOptions paused_options = options;
-    paused_options.threads = threads;
     paused_options.pause_after_steps = 4;
     const timeline::TimelineBatchResult paused =
         timeline::TimelineRunner(paused_options).run(suite);
@@ -633,9 +633,7 @@ TEST(TimelineCheckpoint, RunnerPauseAndResumeMatchAtAnyThreadCount) {
     // Through the text round-trip, as the CLI does it.
     const auto checkpoints =
         timeline::parse_checkpoints(timeline::serialize_checkpoints(paused.checkpoints));
-    timeline::TimelineBatchOptions resume_options = options;
-    resume_options.threads = threads;
-    return timeline::TimelineRunner(resume_options).resume(suite, checkpoints);
+    return timeline::TimelineRunner(options).resume(suite, checkpoints);
   };
 
   // The rendered CSV captures every trace number at full precision, so

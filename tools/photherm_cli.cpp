@@ -113,7 +113,6 @@ void write_output(const std::optional<std::string>& path, const std::string& pay
 struct CommonArgs {
   std::string suite;
   std::optional<std::string> out_path;
-  std::size_t threads = 0;
 };
 
 /// `extra` (optional) consumes command-specific flags: it is offered each
@@ -132,8 +131,11 @@ CommonArgs parse_common(
       PH_REQUIRE(i + 1 < args.size(), arg + " needs a file path");
       parsed.out_path = args[++i];
     } else if (arg == "--threads") {
+      // --threads bounds every parallel region, the solver kernels and the
+      // per-ONI window loops included, so it sets the process-wide budget
+      // before any work starts (0 keeps the default).
       PH_REQUIRE(i + 1 < args.size(), "--threads needs a count");
-      parsed.threads = static_cast<std::size_t>(parse_uint(args[++i], "--threads"));
+      util::set_concurrency(static_cast<std::size_t>(parse_uint(args[++i], "--threads")));
     } else if (!arg.empty() && arg[0] == '-') {
       throw SpecError("unknown option `" + arg + "` for " + command);
     } else {
@@ -142,12 +144,6 @@ CommonArgs parse_common(
     }
   }
   PH_REQUIRE(!parsed.suite.empty(), command + " needs a <suite> argument");
-  // --threads bounds every parallel region, the solver kernels and the
-  // per-ONI window loops included, so it sets the process-wide budget
-  // before any work starts.
-  if (parsed.threads != 0) {
-    util::set_concurrency(parsed.threads);
-  }
   return parsed;
 }
 
@@ -246,7 +242,6 @@ int cmd_run(const std::vector<std::string>& args) {
                    steady.solver.preconditioner);
 
   scenario::BatchOptions options;
-  options.threads = parsed.threads;
   options.share_global_solves = !no_cache;
   const scenario::BatchResult result = scenario::BatchRunner(options).run(scenarios);
 
@@ -363,7 +358,6 @@ int cmd_play(const std::vector<std::string>& args) {
   }
 
   timeline::TimelineBatchOptions options;
-  options.threads = parsed.threads;
   options.playback = playback;
   options.pause_after_steps = pause_after;
   const timeline::TimelineRunner runner(options);
