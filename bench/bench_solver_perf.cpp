@@ -1,10 +1,10 @@
 /// Timing benchmarks (google-benchmark) of the numerical core: sparse
-/// matrix-vector products (CSR and matrix-free stencil), the stencil ILU(0)
-/// apply, the preconditioned solvers swept over preconditioner kind x
-/// operator kind, assembly, and the transient hot path: repeated
-/// warm-started solves against a fixed stepping operator, where the
-/// preconditioner caching and the Chebyshev rebuild economics actually show
-/// up.
+/// matrix-vector products (CSR and matrix-free stencil, and the stencil
+/// product fused with CG's p'Ap), the stencil ILU(0) apply, the
+/// preconditioned solvers swept over preconditioner kind x operator kind,
+/// assembly, and the transient hot path: repeated warm-started solves
+/// against a fixed stepping operator, where the preconditioner caching and
+/// the Chebyshev rebuild economics actually show up.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -79,6 +79,21 @@ void BM_SpMVStencil(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * systems.csr.matrix.nnz()));
 }
 BENCHMARK(BM_SpMVStencil)->Arg(16)->Arg(32)->Arg(64);
+
+/// The stencil SpMV fused with CG's p'Ap reduction (apply_dot), on the
+/// same meshes as BM_SpMVStencil.
+void BM_StencilApplyDot(benchmark::State& state) {
+  const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
+  math::Vector x(systems.stencil.op.cols(), 1.0);
+  math::Vector y(systems.stencil.op.rows());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(systems.stencil.op.apply_dot(x, y));
+  }
+  state.counters["cells"] = static_cast<double>(systems.cells);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * systems.csr.matrix.nnz()));
+}
+BENCHMARK(BM_StencilApplyDot)->Arg(16)->Arg(32)->Arg(64);
 
 /// The stencil ILU(0) apply alone at a thread budget of 1 and 2. The mesh
 /// is past util::kSerialCutoff, so at 2 threads both triangular sweeps run

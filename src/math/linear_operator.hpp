@@ -26,6 +26,14 @@ class LinearOperator {
   /// the result is bit-identical at every thread count.
   virtual void apply(const Vector& x, Vector& y) const = 0;
 
+  /// y = A * x, returning dot(x, y) — the p'Ap of a CG iteration — bit for
+  /// bit. This default is exactly apply then dot; an override may fuse the
+  /// two passes but must keep dot's summation order.
+  virtual double apply_dot(const Vector& x, Vector& y) const {
+    apply(x, y);
+    return dot(x, y);
+  }
+
   /// Main diagonal (zero where no entry is stored).
   virtual Vector diagonal() const = 0;
 

@@ -56,6 +56,17 @@ void scaled_copy(const Vector& r, const Vector& d, Vector& z) {
   util::parallel_for(r.size(), util::kKernelGrain, body);
 }
 
+/// Each row's coupling to the cell `stride` rows below it: the +axis
+/// coupling stream `upper` of a StencilOperator7, which stores each face
+/// once, shifted by `stride`, and zero where the vector has no such cell.
+Vector lower_couplings(const Vector& upper, std::size_t stride) {
+  Vector lower(upper.size(), 0.0);
+  for (std::size_t i = stride; i < upper.size(); ++i) {
+    lower[i] = upper[i - stride];
+  }
+  return lower;
+}
+
 /// One band's progress through a banded ILU(0) apply, alone on its cache
 /// line so that publishing it does not invalidate the line another band
 /// is polling.
@@ -330,11 +341,11 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
       ny_(a.ny()),
       nz_(a.nz()),
       inv_pivot_(a.rows()),
-      west_(a.west()),
+      west_(lower_couplings(a.east(), 1)),
       east_(a.east()),
-      south_(a.south()),
+      south_(lower_couplings(a.north(), a.nx())),
       north_(a.north()),
-      down_(a.down()),
+      down_(lower_couplings(a.up(), a.nx() * a.ny())),
       up_(a.up()) {
   const Vector& diag = a.diag();
   require_positive_diagonal(diag, "ILU(0) preconditioner");

@@ -95,10 +95,14 @@ class Ilu0Preconditioner final : public Preconditioner {
 /// factor, so on the same coefficients the pivots equal
 /// Ilu0Preconditioner's bit for bit. The two terms per neighbour with
 /// k != i are the fill ILU(0) drops; a line of cells has none, so there the
-/// factor is the exact LU. Owns the reciprocal pivots and copies of the six
-/// off-diagonal streams, each row scaled by its reciprocal pivot: the apply
-/// solves (I + D^{-1} L_A) w = D^{-1} r, then (I + D^{-1} U_A) z = w, in
-/// place in z with one multiply-subtract per neighbour.
+/// factor is the exact LU. Owns the reciprocal pivots and six off-diagonal
+/// streams: copies of the operator's east/north/up couplings plus the
+/// west/south/down ones derived from them (row i's west coupling is
+/// east[i-1], and so on), each row scaled by its reciprocal pivot. Row
+/// scaling breaks the symmetry the operator exploits, so all six are kept.
+/// The apply solves (I + D^{-1} L_A) w = D^{-1} r, then
+/// (I + D^{-1} U_A) z = w, in place in z with one multiply-subtract per
+/// neighbour.
 ///
 /// The apply sweeps one x-row at a time. Each row subtracts its neighbour
 /// terms in natural-order sequence (down, south, west forward; up, north,

@@ -28,10 +28,27 @@ constexpr SolverMetrics kGaussSeidelMetrics{"gauss_seidel", telemetry::Counter::
                                             telemetry::Counter::kGaussSeidelIterations,
                                             telemetry::Gauge::kGaussSeidelRelativeResidual};
 
+/// The options a solve is judged by, checked before any work: a NaN,
+/// negative or zero tolerance would otherwise iterate until the residual
+/// underflows and surface as an unrelated breakdown or non-convergence.
+void validate(const SolverOptions& options, const SolverMetrics& solver) {
+  if (!(std::isfinite(options.rel_tolerance) && options.rel_tolerance > 0.0)) {
+    std::ostringstream os;
+    os << solver.name << ": rel_tolerance must be finite and > 0 (got "
+       << options.rel_tolerance << ")";
+    throw Error(os.str());
+  }
+  if (!(std::isfinite(options.convergence_slack) && options.convergence_slack >= 1.0)) {
+    std::ostringstream os;
+    os << solver.name << ": convergence_slack must be finite and >= 1 (got "
+       << options.convergence_slack << ")";
+    throw Error(os.str());
+  }
+}
+
 SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
                       std::size_t iters, double norm_b, const SolverOptions& options,
                       const SolverMetrics& solver) {
-  PH_REQUIRE(options.convergence_slack >= 1.0, "convergence_slack must be >= 1");
   Vector r;
   a.apply(x, r);
   for (std::size_t i = 0; i < r.size(); ++i) {
@@ -72,6 +89,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
                                 const Preconditioner& precond, const SolverOptions& options) {
   PH_REQUIRE(a.rows() == a.cols(), "CG requires a square matrix");
   PH_REQUIRE(b.size() == a.rows(), "CG: rhs size mismatch");
+  validate(options, kCgMetrics);
   telemetry::Span span("solver.conjugate_gradient");
   const std::size_t n = a.rows();
   prepare_initial_guess(x, n);
@@ -98,14 +116,15 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   precond.apply(r, z);
   Vector p = z;
   Vector ap(n);
-  double rz = dot(r, z);
+  // {r·z, r·r} from one pass; r·r is norm2(r)² bit for bit.
+  DotPair r_dots = dot_pair(r, z);
 
   std::vector<double> history;
   std::size_t it = 0;
   for (; it < options.max_iterations; ++it) {
     // The iteration's own stopping check; record_convergence captures
     // exactly this value, so the history costs no extra norm.
-    const double rel = norm2(r) / norm_b;
+    const double rel = std::sqrt(r_dots.aa) / norm_b;
     if (options.record_convergence) {
       history.push_back(rel);
       telemetry::counter("solver.conjugate_gradient.residual", rel, it);
@@ -113,21 +132,19 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     if (rel <= options.rel_tolerance) {
       break;
     }
-    a.apply(p, ap);
-    const double p_ap = dot(p, ap);
+    const double p_ap = a.apply_dot(p, ap);
     if (!std::isfinite(p_ap)) {
       throw SolverError(
           "CG breakdown: the iterate is not finite (p'Ap overflowed or is NaN); the initial "
           "guess or right-hand side is too large to solve in double precision");
     }
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
-    const double alpha = rz / p_ap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
+    const double alpha = r_dots.ab / p_ap;
+    cg_update(alpha, p, ap, x, r);
     precond.apply(r, z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
+    const DotPair next = dot_pair(r, z);
+    const double beta = next.ab / r_dots.ab;
+    r_dots = next;
     xpby(z, beta, p);
   }
   SolverResult result = finalize(a, b, x, it, norm_b, options, kCgMetrics);
@@ -137,6 +154,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
 
 SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
                                 const SolverOptions& options) {
+  validate(options, kCgMetrics);
   const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
   return conjugate_gradient(a, b, x, *precond, options);
 }
@@ -145,6 +163,7 @@ SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
                           const SolverOptions& options) {
   PH_REQUIRE(a.rows() == a.cols(), "Gauss-Seidel requires a square matrix");
   PH_REQUIRE(b.size() == a.rows(), "Gauss-Seidel: rhs size mismatch");
+  validate(options, kGaussSeidelMetrics);
   telemetry::Span span("solver.gauss_seidel");
   const std::size_t n = a.rows();
   prepare_initial_guess(x, n);

@@ -1,7 +1,10 @@
 #include "math/stencil_operator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -12,10 +15,13 @@ namespace photherm::math {
 namespace {
 
 /// Branch-free interior rows: y[k] = the seven coefficient * neighbour
-/// products of row k, summed in the fixed down..up order. Each x operand is
-/// x pre-offset by its neighbour's stride, so every stream is read at the
-/// same index k and the loop vectorizes; rows are independent lanes, so
-/// each row's sum rounds exactly as in the scalar loop.
+/// products of row k, summed in the fixed down..up order. Each operand is
+/// pre-offset so that every stream is read at the same index k: x by its
+/// neighbour's stride, and the down/south/west coefficients — the up/north/
+/// east streams, which store each face once — by the same stride backward.
+/// The loop vectorizes, and rows are independent lanes, so each row's sum
+/// rounds exactly as in the scalar loop. Only y is written, so the
+/// coefficient pointers may alias one another.
 void interior_rows(std::size_t count, const double* __restrict down, const double* __restrict south,
                    const double* __restrict west, const double* __restrict diag,
                    const double* __restrict east, const double* __restrict north,
@@ -34,27 +40,27 @@ void interior_rows(std::size_t count, const double* __restrict down, const doubl
   }
 }
 
+/// Row i's coupling to the cell `stride` rows below it: the +axis coupling
+/// that cell stores, or zero when the vector has no such cell.
+double lower(const Vector& upper, std::size_t i, std::size_t stride) {
+  return i >= stride ? upper[i - stride] : 0.0;
+}
+
 }  // namespace
 
 StencilOperator7::StencilOperator7(std::size_t nx, std::size_t ny, std::size_t nz)
     : nx_(nx), ny_(ny), nz_(nz), n_(nx * ny * nz) {
   PH_REQUIRE(nx > 0 && ny > 0 && nz > 0, "stencil grid dimensions must be positive");
   diag_.assign(n_, 0.0);
-  west_.assign(n_, 0.0);
   east_.assign(n_, 0.0);
-  south_.assign(n_, 0.0);
   north_.assign(n_, 0.0);
-  down_.assign(n_, 0.0);
   up_.assign(n_, 0.0);
 }
 
-void StencilOperator7::apply(const Vector& x, Vector& y) const {
-  PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
-  telemetry::count(telemetry::Counter::kSpmvStencil);
-  y.resize(n_);
+void StencilOperator7::apply_rows(const Vector& x, Vector& y, std::size_t begin,
+                                  std::size_t end) const {
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;
-
   // Guarded row: substitutes 0.0 for out-of-range neighbours. A boundary
   // cell's coefficient toward a missing neighbour is zero, so for rows
   // whose neighbour index merely wraps (e.g. west at ix == 0 reading the
@@ -62,9 +68,9 @@ void StencilOperator7::apply(const Vector& x, Vector& y) const {
   // and the sum is bit-identical to the guarded one; the guards only exist
   // to keep the first/last sz rows from indexing outside x.
   auto guarded_row = [&](std::size_t i) {
-    double acc = down_[i] * (i >= sz ? x[i - sz] : 0.0);
-    acc += south_[i] * (i >= sy ? x[i - sy] : 0.0);
-    acc += west_[i] * (i >= 1 ? x[i - 1] : 0.0);
+    double acc = lower(up_, i, sz) * (i >= sz ? x[i - sz] : 0.0);
+    acc += lower(north_, i, sy) * (i >= sy ? x[i - sy] : 0.0);
+    acc += lower(east_, i, 1) * (i >= 1 ? x[i - 1] : 0.0);
     acc += diag_[i] * x[i];
     acc += east_[i] * (i + 1 < n_ ? x[i + 1] : 0.0);
     acc += north_[i] * (i + sy < n_ ? x[i + sy] : 0.0);
@@ -72,30 +78,58 @@ void StencilOperator7::apply(const Vector& x, Vector& y) const {
     return acc;
   };
   const std::size_t interior_end = n_ > sz ? n_ - sz : 0;
-  auto rows_kernel = [&](std::size_t begin, std::size_t end) {
-    std::size_t i = begin;
-    for (; i < end && i < sz; ++i) {
-      y[i] = guarded_row(i);
-    }
-    // Branch-free interior: every neighbour index is in bounds, and the
-    // accumulation order matches guarded_row exactly.
-    const std::size_t interior_stop = std::min(end, interior_end);
-    if (i < interior_stop) {
-      const double* xi = x.data() + i;
-      interior_rows(interior_stop - i, down_.data() + i, south_.data() + i, west_.data() + i,
-                    diag_.data() + i, east_.data() + i, north_.data() + i, up_.data() + i, xi - sz,
-                    xi - sy, xi - 1, xi, xi + 1, xi + sy, xi + sz, y.data() + i);
-      i = interior_stop;
-    }
-    for (; i < end; ++i) {
-      y[i] = guarded_row(i);
-    }
-  };
+  std::size_t i = begin;
+  for (; i < end && i < sz; ++i) {
+    y[i] = guarded_row(i);
+  }
+  // Branch-free interior: every neighbour index is in bounds, and the
+  // accumulation order matches guarded_row exactly.
+  const std::size_t interior_stop = std::min(end, interior_end);
+  if (i < interior_stop) {
+    const double* xi = x.data() + i;
+    interior_rows(interior_stop - i, up_.data() + i - sz, north_.data() + i - sy,
+                  east_.data() + i - 1, diag_.data() + i, east_.data() + i, north_.data() + i,
+                  up_.data() + i, xi - sz, xi - sy, xi - 1, xi, xi + 1, xi + sy, xi + sz,
+                  y.data() + i);
+    i = interior_stop;
+  }
+  for (; i < end; ++i) {
+    y[i] = guarded_row(i);
+  }
+}
+
+void StencilOperator7::apply(const Vector& x, Vector& y) const {
+  PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
+  telemetry::count(telemetry::Counter::kSpmvStencil);
+  y.resize(n_);
   if (n_ < util::kSerialCutoff) {
-    rows_kernel(0, n_);
+    apply_rows(x, y, 0, n_);
     return;
   }
-  util::parallel_for(n_, util::kKernelGrain, rows_kernel);
+  util::parallel_for(n_, util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    apply_rows(x, y, begin, end);
+  });
+}
+
+double StencilOperator7::apply_dot(const Vector& x, Vector& y) const {
+  PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
+  telemetry::count(telemetry::Counter::kSpmvStencil);
+  y.resize(n_);
+  // dot(x, y)'s serial loop and chunk partials, each taken while the
+  // chunk's rows are still in cache.
+  auto rows_dot = [&](std::size_t begin, std::size_t end) {
+    apply_rows(x, y, begin, end);
+    double acc = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      acc += x[i] * y[i];
+    }
+    return acc;
+  };
+  if (n_ < util::kSerialCutoff) {
+    return rows_dot(0, n_);
+  }
+  return util::parallel_reduce(n_, util::kKernelGrain, 0.0, rows_dot,
+                               [](double acc, double p) { return acc + p; });
 }
 
 std::unique_ptr<LinearOperator> StencilOperator7::clone() const {
@@ -104,11 +138,13 @@ std::unique_ptr<LinearOperator> StencilOperator7::clone() const {
 
 double StencilOperator7::scaled_row_sum_bound(const Vector& scale) const {
   PH_REQUIRE(scale.size() == n_, "scaled_row_sum_bound: scale size mismatch");
+  const std::size_t sy = nx_;
+  const std::size_t sz = nx_ * ny_;
   double bound = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double sum = std::abs(down_[i]) + std::abs(south_[i]) + std::abs(west_[i]) +
-                       std::abs(diag_[i]) + std::abs(east_[i]) + std::abs(north_[i]) +
-                       std::abs(up_[i]);
+    const double sum = std::abs(lower(up_, i, sz)) + std::abs(lower(north_, i, sy)) +
+                       std::abs(lower(east_, i, 1)) + std::abs(diag_[i]) + std::abs(east_[i]) +
+                       std::abs(north_[i]) + std::abs(up_[i]);
     bound = std::max(bound, scale[i] * sum);
   }
   return bound;
@@ -127,14 +163,14 @@ CsrMatrix StencilOperator7::to_csr() const {
   CsrBuilder builder(n_, n_);
   builder.reserve(7 * n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    if (down_[i] != 0.0) {
-      builder.add(i, i - sz, down_[i]);
+    if (const double down = lower(up_, i, sz); down != 0.0) {
+      builder.add(i, i - sz, down);
     }
-    if (south_[i] != 0.0) {
-      builder.add(i, i - sy, south_[i]);
+    if (const double south = lower(north_, i, sy); south != 0.0) {
+      builder.add(i, i - sy, south);
     }
-    if (west_[i] != 0.0) {
-      builder.add(i, i - 1, west_[i]);
+    if (const double west = lower(east_, i, 1); west != 0.0) {
+      builder.add(i, i - 1, west);
     }
     builder.add(i, i, diag_[i]);
     if (east_[i] != 0.0) {
@@ -169,22 +205,29 @@ StencilOperator7 StencilOperator7::from_csr(const CsrMatrix& a, std::size_t nx, 
       const double v = values[k];
       if (j == i) {
         op.diag_[i] = v;
-      } else if (j + 1 == i && ix > 0) {
-        op.west_[i] = v;
+        continue;
+      }
+      if ((j + 1 == i && ix > 0) || (j + sy == i && iy > 0) || (j + sz == i && iz > 0)) {
+        // A -axis coupling: the operator holds it as the +axis one of j.
       } else if (j == i + 1 && ix + 1 < nx) {
         op.east_[i] = v;
-      } else if (j + sy == i && iy > 0) {
-        op.south_[i] = v;
       } else if (j == i + sy && iy + 1 < ny) {
         op.north_[i] = v;
-      } else if (j + sz == i && iz > 0) {
-        op.down_[i] = v;
       } else if (j == i + sz && iz + 1 < nz) {
         op.up_[i] = v;
       } else {
         std::ostringstream os;
         os << "from_csr: entry (" << i << ", " << j
            << ") falls outside the 7-point stencil pattern";
+        throw Error(os.str());
+      }
+      const double mirror = a.at(j, i);
+      if (std::bit_cast<std::uint64_t>(v) != std::bit_cast<std::uint64_t>(mirror)) {
+        std::ostringstream os;
+        os << std::setprecision(17) << "from_csr: entry (" << i << ", " << j << ") = " << v
+           << " differs from its mirror (" << j << ", " << i << ") = " << mirror
+           << "; the stencil stores one coupling per face, so the matrix must be symmetric "
+              "bit for bit (a missing entry counts as 0)";
         throw Error(os.str());
       }
     }

@@ -3,9 +3,13 @@
 /// grid (cell (ix, iy, iz) linearised as ((iz * ny) + iy) * nx + ix, the
 /// RectilinearMesh convention). The FVM conduction operator has exactly
 /// this shape, so storing one coefficient per face direction removes the
-/// CSR column indirection entirely: an SpMV reads seven contiguous
-/// coefficient streams plus x at fixed strides — SIMD-friendly and roughly
-/// half the memory traffic of the CSR kernel (no col_idx, no row_ptr).
+/// CSR column indirection entirely. The operator is symmetric, so each face
+/// coupling is stored once, on the cell below the face: an SpMV reads four
+/// contiguous coefficient streams (diagonal and the +x/+y/+z couplings)
+/// plus x at fixed strides — SIMD-friendly, with well under half the memory
+/// traffic of the CSR kernel (no col_idx, no row_ptr, no mirrored values).
+/// Row i reads its -x/-y/-z couplings as east[i-1], north[i-nx] and
+/// up[i-nx*ny].
 ///
 /// Boundary cells simply carry zero coefficients toward the missing
 /// neighbours, so the interior kernel is branch-free. The per-row
@@ -31,25 +35,24 @@ class StencilOperator7 final : public LinearOperator {
   std::size_t rows() const override { return n_; }
   std::size_t cols() const override { return n_; }
 
-  /// Coefficient streams by neighbour offset: west/east = -/+1 on x,
-  /// south/north = -/+nx on y, down/up = -/+(nx*ny) on z. A boundary cell's
-  /// coefficient toward a missing neighbour must stay zero.
+  /// Coefficient streams: the diagonal and each cell's coupling to its +x
+  /// (east, offset +1), +y (north, +nx) and +z (up, +nx*ny) neighbour,
+  /// which is also that neighbour's coupling back to the cell. A cell's
+  /// coupling toward a missing +axis neighbour must stay zero.
   Vector& diag() { return diag_; }
-  Vector& west() { return west_; }
   Vector& east() { return east_; }
-  Vector& south() { return south_; }
   Vector& north() { return north_; }
   Vector& up() { return up_; }
-  Vector& down() { return down_; }
   const Vector& diag() const { return diag_; }
-  const Vector& west() const { return west_; }
   const Vector& east() const { return east_; }
-  const Vector& south() const { return south_; }
   const Vector& north() const { return north_; }
   const Vector& up() const { return up_; }
-  const Vector& down() const { return down_; }
 
   void apply(const Vector& x, Vector& y) const override;
+  /// Sums each chunk's x·y partial right after writing that chunk's rows,
+  /// in dot()'s chunk order, so the result equals apply then dot bit for
+  /// bit without a second pass or pool region.
+  double apply_dot(const Vector& x, Vector& y) const override;
   Vector diagonal() const override { return diag_; }
   std::unique_ptr<LinearOperator> clone() const override;
   double scaled_row_sum_bound(const Vector& scale) const override;
@@ -64,17 +67,22 @@ class StencilOperator7 final : public LinearOperator {
   CsrMatrix to_csr() const;
 
   /// Extract the stencil from a CSR matrix that has pure 7-point structure
-  /// on the given grid; throws Error naming the offending row if any entry
-  /// falls outside the stencil pattern.
+  /// on the given grid. Throws Error naming the offending entry if any
+  /// entry falls outside the stencil pattern, or if a coupling differs
+  /// from its mirror bit for bit (a structurally absent entry counts as
+  /// zero): the stencil stores one coupling per face.
   static StencilOperator7 from_csr(const CsrMatrix& a, std::size_t nx, std::size_t ny,
                                    std::size_t nz);
 
  private:
+  /// y[begin, end) = rows begin..end-1 of A x.
+  void apply_rows(const Vector& x, Vector& y, std::size_t begin, std::size_t end) const;
+
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
   std::size_t nz_ = 0;
   std::size_t n_ = 0;
-  Vector diag_, west_, east_, south_, north_, down_, up_;
+  Vector diag_, east_, north_, up_;
 };
 
 }  // namespace photherm::math

@@ -228,21 +228,10 @@ StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs,
     void pair(std::size_t cell, std::size_t nb, int axis, double g) {
       op.diag()[cell] += g;
       op.diag()[nb] += g;
-      // `nb` is the +axis neighbour of `cell`.
-      switch (axis) {
-        case 0:
-          op.east()[cell] = -g;
-          op.west()[nb] = -g;
-          break;
-        case 1:
-          op.north()[cell] = -g;
-          op.south()[nb] = -g;
-          break;
-        default:
-          op.up()[cell] = -g;
-          op.down()[nb] = -g;
-          break;
-      }
+      // `nb` is the +axis neighbour of `cell`; the operator stores the
+      // face's coupling once, on `cell`.
+      math::Vector& upper = axis == 0 ? op.east() : axis == 1 ? op.north() : op.up();
+      upper[cell] = -g;
     }
     void boundary(std::size_t cell, double g) { op.diag()[cell] += g; }
   } emit{math::StencilOperator7(m.nx(), m.ny(), m.nz())};

@@ -12,6 +12,9 @@
 #   3. record a --convergence --trace run (output must stay byte-identical
 #      to the unrecorded run) and rebuild the per-solve residual CSV.
 #   4. summarize must render both artifact kinds.
+#   5. on a hand-written trace (report/self_time_trace.json: a 10 ms span
+#      with 3 ms and 4 ms children and a 2 ms grandchild under the 4 ms
+#      child) summarize must report each span's self time.
 
 foreach(var PHOTHERM_CLI PHOTHERM_REPORT RULES WORK_DIR)
   if(NOT DEFINED ${var})
@@ -103,3 +106,16 @@ run_report(0 sum_trace summarize ${WORK_DIR}/conv_trace.json)
 if(NOT sum_trace MATCHES "spans by total wall")
   message(FATAL_ERROR "trace summary is missing the span roll-up")
 endif()
+
+# 5. Self time is a span's duration minus its direct children's; the
+# trace lists each span after its children, as the exporter does.
+run_report(0 sum_self summarize ${CMAKE_CURRENT_LIST_DIR}/report/self_time_trace.json)
+foreach(expect "span\\.parent_10ms \\| +1 \\| +10 \\| +3 \\|"
+               "span\\.child_3ms \\| +1 \\| +3 \\| +3 \\|"
+               "span\\.child_4ms \\| +1 \\| +4 \\| +2 \\|"
+               "span\\.grandchild_2ms \\| +1 \\| +2 \\| +2 \\|")
+  if(NOT sum_self MATCHES "${expect}")
+    message(FATAL_ERROR "trace summary self times: no row matches `${expect}`; "
+                        "got:\n${sum_self}")
+  endif()
+endforeach()

@@ -5,6 +5,7 @@
 /// every test file.
 #pragma once
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -75,8 +76,8 @@ inline core::OnocDesignSpec coarse_onoc_spec() {
 }
 
 /// Random SPD M-matrix on an nx x ny x nz grid: symmetric negative
-/// couplings, zero toward missing neighbours, and a diagonal that
-/// dominates its row by 0.1.
+/// couplings (each face's stored once, on the cell below it), zero toward
+/// missing neighbours, and a diagonal that dominates its row by 0.1.
 inline math::StencilOperator7 diagonally_dominant_stencil(std::size_t nx, std::size_t ny,
                                                           std::size_t nz, std::uint64_t seed) {
   math::StencilOperator7 op(nx, ny, nz);
@@ -84,20 +85,31 @@ inline math::StencilOperator7 diagonally_dominant_stencil(std::size_t nx, std::s
   const std::size_t sz = nx * ny;
   for (std::size_t i = 0; i < op.rows(); ++i) {
     if (i % nx != 0) {
-      op.west()[i] = op.east()[i - 1] = -rng.uniform(0.5, 1.5);
+      op.east()[i - 1] = -rng.uniform(0.5, 1.5);
     }
     if ((i / nx) % ny != 0) {
-      op.south()[i] = op.north()[i - nx] = -rng.uniform(0.5, 1.5);
+      op.north()[i - nx] = -rng.uniform(0.5, 1.5);
     }
     if (i >= sz) {
-      op.down()[i] = op.up()[i - sz] = -rng.uniform(0.5, 1.5);
+      op.up()[i - sz] = -rng.uniform(0.5, 1.5);
     }
   }
+  // Row i's west/south/down couplings are east[i-1], north[i-nx] and
+  // up[i-sz] (zero before the first row, y-row and plane).
+  const auto lower = [](const math::Vector& upper, std::size_t i, std::size_t stride) {
+    return i >= stride ? upper[i - stride] : 0.0;
+  };
   for (std::size_t i = 0; i < op.rows(); ++i) {
-    op.diag()[i] = 0.1 - op.west()[i] - op.east()[i] - op.south()[i] - op.north()[i] -
-                   op.down()[i] - op.up()[i];
+    op.diag()[i] = 0.1 - lower(op.east(), i, 1) - op.east()[i] - lower(op.north(), i, nx) -
+                   op.north()[i] - lower(op.up(), i, sz) - op.up()[i];
   }
   return op;
+}
+
+/// True when the two vectors hold the same doubles bit for bit (unlike ==,
+/// this tells -0.0 from +0.0 and matches NaN payloads).
+inline bool same_bytes(const math::Vector& a, const math::Vector& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Runs one scope under a thread budget of `threads`

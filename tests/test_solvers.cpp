@@ -8,6 +8,7 @@
 #include "support/fixtures.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace photherm::math {
 namespace {
@@ -129,6 +130,59 @@ TEST(Solvers, CgNamesAnOverflowAsAnOverflow) {
     huge[i] = i % 2 == 0 ? 1e300 : -1e300;
   }
   expect_not_finite(Vector(n, 1.0), huge);
+}
+
+/// A NaN, negative or zero tolerance used to iterate until the residual
+/// underflowed and then surface as an overflow breakdown or a failure to
+/// converge, and an out-of-range slack was caught only after the whole
+/// solve. Both must be named before any work.
+TEST(Solvers, InvalidOptionsAreNamedBeforeIterating) {
+  const StencilOperator7 a = fixtures::diagonally_dominant_stencil(20, 20, 20, 29);
+  const CsrMatrix a_csr = a.to_csr();
+  const Vector b(a.rows(), 1.0);
+  const auto expect_named = [](const auto& solve, const std::string& option) {
+    try {
+      solve();
+      ADD_FAILURE() << "expected Error naming " << option;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(option), std::string::npos) << what;
+      EXPECT_EQ(what.find("not finite"), std::string::npos) << what;
+      EXPECT_EQ(what.find("positive definite"), std::string::npos) << what;
+      EXPECT_EQ(what.find("failed to converge"), std::string::npos) << what;
+    }
+  };
+  const auto expect_rejected = [&](const SolverOptions& options, const std::string& option) {
+    expect_named(
+        [&] {
+          Vector x;
+          conjugate_gradient(a, b, x, options);
+        },
+        option);
+    expect_named(
+        [&] {
+          Vector x;
+          gauss_seidel(a_csr, b, x, options);
+        },
+        option);
+  };
+  for (const double tolerance : {std::numeric_limits<double>::quiet_NaN(), -1.0, 0.0}) {
+    SCOPED_TRACE(testing::Message() << "rel_tolerance " << tolerance);
+    SolverOptions options;
+    options.rel_tolerance = tolerance;
+    expect_rejected(options, "rel_tolerance");
+  }
+
+  telemetry::set_enabled(true);
+  telemetry::reset();
+  SolverOptions slack;
+  slack.convergence_slack = 0.5;
+  expect_rejected(slack, "convergence_slack");
+  const std::string metrics = telemetry::metrics_csv();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  EXPECT_NE(metrics.find("\nspmv.stencil,counter,0,0,"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("\nspmv.csr,counter,0,0,"), std::string::npos) << metrics;
 }
 
 TEST(Solvers, FailureThrowsWhenRequested) {

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/preconditioner.hpp"
@@ -26,6 +29,7 @@ namespace {
 
 using fixtures::add_heater;
 using fixtures::diagonally_dominant_stencil;
+using fixtures::same_bytes;
 using fixtures::ScopedConcurrency;
 using fixtures::uniform_mesh_options;
 using fixtures::uniform_slab;
@@ -67,6 +71,15 @@ BoundarySet all_faces_bcs() {
   return bcs;
 }
 
+/// The couplings of each row to the cell `stride` rows below it: the
+/// operator stores them once, in that cell's +axis stream `upper`.
+Vector mirrored(const Vector& upper, std::size_t stride) {
+  Vector lower(upper.size(), 0.0);
+  std::copy(upper.begin(), upper.end() - static_cast<std::ptrdiff_t>(stride),
+            lower.begin() + static_cast<std::ptrdiff_t>(stride));
+  return lower;
+}
+
 /// Reference for the stencil ILU(0) apply: the same relaxed factor, swept
 /// in flat natural order over every cell, one loop per triangle, with the
 /// first / last plane guarded and every other row multiplying its boundary
@@ -77,11 +90,11 @@ class FlatIlu0 {
       : sy_(a.nx()),
         sz_(a.nx() * a.ny()),
         inv_pivot_(a.diag()),
-        west_(a.west()),
+        west_(mirrored(a.east(), 1)),
         east_(a.east()),
-        south_(a.south()),
+        south_(mirrored(a.north(), sy_)),
         north_(a.north()),
-        down_(a.down()),
+        down_(mirrored(a.up(), sz_)),
         up_(a.up()) {
     const double w = kIlu0Relaxation;
     Vector& pivot = inv_pivot_;
@@ -165,10 +178,6 @@ class FlatIlu0 {
   Vector inv_pivot_, west_, east_, south_, north_, down_, up_;
 };
 
-bool same_bytes(const Vector& a, const Vector& b) {
-  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
   const auto mesh = heated_mesh(60e-6, 90e-6);
   ASSERT_GT(mesh.nx(), 2u);
@@ -235,12 +244,15 @@ TEST(Stencil, ToCsrRoundTripIsExact) {
   const StencilOperator7 back =
       StencilOperator7::from_csr(csr, mesh.nx(), mesh.ny(), mesh.nz());
   EXPECT_EQ(back.diag(), stencil.op.diag());
-  EXPECT_EQ(back.west(), stencil.op.west());
   EXPECT_EQ(back.east(), stencil.op.east());
-  EXPECT_EQ(back.south(), stencil.op.south());
   EXPECT_EQ(back.north(), stencil.op.north());
-  EXPECT_EQ(back.down(), stencil.op.down());
   EXPECT_EQ(back.up(), stencil.op.up());
+  // Both triangles, the lower one read off the stored +axis couplings,
+  // come back entry for entry.
+  const CsrMatrix again = back.to_csr();
+  EXPECT_EQ(again.row_ptr(), csr.row_ptr());
+  EXPECT_EQ(again.col_idx(), csr.col_idx());
+  EXPECT_EQ(again.values(), csr.values());
 }
 
 TEST(Stencil, ApplyIsBitIdenticalAcrossThreadCounts) {
@@ -321,7 +333,7 @@ TEST(Stencil, AddToDiagonalShiftsOnlyTheDiagonal) {
   for (std::size_t i = 0; i < shift.size(); ++i) {
     EXPECT_DOUBLE_EQ(stencil.op.diag()[i], original.diag()[i] + shift[i]);
   }
-  EXPECT_EQ(stencil.op.west(), original.west());
+  EXPECT_EQ(stencil.op.east(), original.east());
   EXPECT_EQ(stencil.op.up(), original.up());
 }
 
@@ -343,6 +355,96 @@ TEST(Stencil, FromCsrRejectsOffPatternEntries) {
   }
   seam.add(1, 2, -1.0);
   EXPECT_THROW(StencilOperator7::from_csr(seam.build(), 2, 2, 2), Error);
+}
+
+TEST(Stencil, FromCsrRejectsAsymmetricCoupling) {
+  // The stencil stores each face's coupling once, so from_csr must refuse
+  // a matrix whose two triangles disagree in any bit, naming both entries.
+  const auto mesh = heated_mesh(80e-6, 90e-6);
+  ASSERT_GE(mesh.nx(), 2u);
+  ASSERT_GE(mesh.ny(), 3u);
+  ASSERT_GE(mesh.nz(), 2u);
+  const thermal::DiscreteSystem csr = thermal::assemble(mesh, all_faces_bcs());
+  const CsrMatrix& a = csr.matrix;
+  EXPECT_NO_THROW(StencilOperator7::from_csr(a, mesh.nx(), mesh.ny(), mesh.nz()));
+
+  const std::size_t sy = mesh.nx();
+  const std::size_t cell = mesh.nx() * mesh.ny() + sy + 1;  // (1, 1, 1)
+  const auto position = [&](std::size_t i, std::size_t j) {
+    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
+      if (a.col_idx()[k] == j) {
+        return k;
+      }
+    }
+    ADD_FAILURE() << "(" << i << ", " << j << ") is not stored";
+    return std::size_t{0};
+  };
+  const auto expect_rejected = [&](const CsrMatrix& bad, std::size_t i, std::size_t j) {
+    try {
+      StencilOperator7::from_csr(bad, mesh.nx(), mesh.ny(), mesh.nz());
+      ADD_FAILURE() << "expected Error for (" << i << ", " << j << ")";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      const auto entry = [](std::size_t r, std::size_t c) {
+        return "(" + std::to_string(r) + ", " + std::to_string(c) + ")";
+      };
+      EXPECT_NE(what.find(entry(i, j)), std::string::npos) << what;
+      EXPECT_NE(what.find(entry(j, i)), std::string::npos) << what;
+    }
+  };
+
+  // One ULP on the lower entry of an x face, then on the upper entry of a
+  // y face.
+  for (const auto& [i, j] : {std::pair{cell, cell - 1}, std::pair{cell, cell + sy}}) {
+    std::vector<double> values = a.values();
+    double& v = values[position(i, j)];
+    v = std::nextafter(v, 0.0);
+    expect_rejected(CsrMatrix(a.rows(), a.cols(), a.row_ptr(), a.col_idx(), values), i, j);
+  }
+
+  // Dropping one mirror leaves a coupling against an implicit zero.
+  const std::size_t k = position(cell, cell - sy);
+  std::vector<std::size_t> row_ptr = a.row_ptr();
+  std::vector<std::uint32_t> col_idx = a.col_idx();
+  std::vector<double> values = a.values();
+  col_idx.erase(col_idx.begin() + static_cast<std::ptrdiff_t>(k));
+  values.erase(values.begin() + static_cast<std::ptrdiff_t>(k));
+  for (std::size_t r = cell + 1; r < row_ptr.size(); ++r) {
+    --row_ptr[r];
+  }
+  expect_rejected(CsrMatrix(a.rows(), a.cols(), row_ptr, col_idx, values), cell, cell - sy);
+}
+
+TEST(Stencil, ApplyDotEqualsApplyThenDot) {
+  // Below kSerialCutoff the fused product runs the serial loops; above it
+  // (five full chunks and a partial one) the chunk partials. The CSR matrix
+  // takes LinearOperator's default. Several x vectors, so that a partial
+  // folded out of order shows in the last bits of at least one result.
+  const StencilOperator7 small = diagonally_dominant_stencil(9, 7, 5, 61);
+  const StencilOperator7 large = diagonally_dominant_stencil(40, 37, 29, 67);
+  ASSERT_LT(small.rows(), util::kSerialCutoff);
+  ASSERT_GT(large.rows(), 5 * util::kKernelGrain);
+  ASSERT_NE(large.rows() % util::kKernelGrain, 0u);
+  const CsrMatrix csr = large.to_csr();
+  for (const LinearOperator* op :
+       {static_cast<const LinearOperator*>(&small), static_cast<const LinearOperator*>(&large),
+        static_cast<const LinearOperator*>(&csr)}) {
+    for (const std::uint64_t seed : {71u, 72u, 73u, 74u}) {
+      const Vector x = random_vector(op->rows(), seed);
+      for (const std::size_t threads : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message()
+                     << op->rows() << " rows, seed " << seed << ", " << threads << " threads");
+        ScopedConcurrency budget(threads);
+        Vector y_ref;
+        op->apply(x, y_ref);
+        const double dot_ref = dot(x, y_ref);
+        Vector y;
+        const double fused = op->apply_dot(x, y);
+        EXPECT_TRUE(same_bytes(y, y_ref));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fused), std::bit_cast<std::uint64_t>(dot_ref));
+      }
+    }
+  }
 }
 
 TEST(Stencil, GershgorinBoundContainsJacobiScaledSpectrum) {
@@ -678,13 +780,10 @@ TEST(StencilIlu0, IsAnExactSolveOnEveryOneDimensionalGrid) {
   for (const Dims& dims : {Dims{len, 1, 1}, Dims{1, len, 1}, Dims{1, 1, len}}) {
     SCOPED_TRACE(testing::Message() << dims[0] << "x" << dims[1] << "x" << dims[2]);
     StencilOperator7 op(dims[0], dims[1], dims[2]);
-    Vector& lower = dims[0] > 1 ? op.west() : dims[1] > 1 ? op.south() : op.down();
+    // Each face's coupling is stored once, on the cell below it.
     Vector& upper = dims[0] > 1 ? op.east() : dims[1] > 1 ? op.north() : op.up();
     for (std::size_t i = 0; i < len; ++i) {
       op.diag()[i] = 2.5 + 0.01 * static_cast<double>(i);
-      if (i > 0) {
-        lower[i] = -1.0;
-      }
       if (i + 1 < len) {
         upper[i] = -1.0;
       }

@@ -4,9 +4,10 @@
 ///
 ///   photherm_report summarize <metrics.csv|trace.json|bench.json> [--top N]
 ///       Roll-ups: manifest, non-zero counters with derived iters/solve,
-///       timers sorted by total wall with p50/p90/p99, span roll-ups and
-///       the top-k scenarios by wall time (traces), benchmark entries by
-///       real_time (bench JSON).
+///       timers sorted by total wall with p50/p90/p99, span roll-ups with
+///       each span's self time (its duration minus its direct children's)
+///       and the top-k scenarios by wall time (traces), benchmark entries
+///       by real_time (bench JSON).
 ///   photherm_report diff <baseline> <candidate> [--gate RULES]
 ///       Delta table over the two artifacts' scalar values (metric totals
 ///       for metrics CSVs, per-benchmark numeric fields for bench JSONs).
@@ -806,9 +807,21 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
   struct SpanStats {
     double count = 0.0;
     double total_us = 0.0;
+    double self_ns = 0.0;
     double max_us = 0.0;
   };
+  /// One "X" event, timed in whole nanoseconds (the exporter writes
+  /// integer-nanosecond times as microseconds). Whole numbers below 2^53
+  /// add exactly in a double, so the nesting tests are exact, and a
+  /// malformed time cannot overflow.
+  struct Interval {
+    double ts_ns = 0.0;
+    double dur_ns = 0.0;
+    SpanStats* stats = nullptr;
+    double children_ns = 0.0;
+  };
   std::map<std::string, SpanStats> spans;
+  std::map<double, std::vector<Interval>> intervals_by_tid;
   std::map<std::string, double> scenarios;  ///< detail -> total us
   std::map<std::string, double> counter_samples;
   std::size_t instants = 0;
@@ -821,6 +834,8 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
       stats.count += 1.0;
       stats.total_us += dur;
       stats.max_us = std::max(stats.max_us, dur);
+      intervals_by_tid[event.number_or("tid", 0.0)].push_back(
+          {std::round(event.number_or("ts", 0.0) * 1e3), std::round(dur * 1e3), &stats});
       if (const JsonValue* event_args = event.find("args")) {
         const std::string detail = event_args->text_or("detail", "");
         if (!detail.empty() && name.size() > 9 &&
@@ -835,17 +850,41 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
     }
   }
 
+  // Self time: a span's duration minus its direct children's. Spans nest
+  // strictly within a thread, so once a thread's spans are sorted by start
+  // (the longer first on a tie), each span's parent is the innermost span
+  // still open when it starts.
+  for (auto& [tid, intervals] : intervals_by_tid) {
+    std::sort(intervals.begin(), intervals.end(), [](const Interval& a, const Interval& b) {
+      return a.ts_ns != b.ts_ns ? a.ts_ns < b.ts_ns : a.dur_ns > b.dur_ns;
+    });
+    std::vector<Interval*> open;
+    for (Interval& span : intervals) {
+      while (!open.empty() && span.ts_ns >= open.back()->ts_ns + open.back()->dur_ns) {
+        open.pop_back();
+      }
+      if (!open.empty()) {
+        open.back()->children_ns += span.dur_ns;
+      }
+      open.push_back(&span);
+    }
+    for (const Interval& span : intervals) {
+      span.stats->self_ns += span.dur_ns - span.children_ns;
+    }
+  }
+
   std::vector<std::pair<double, std::string>> by_total;
   for (const auto& [name, stats] : spans) {
     by_total.emplace_back(stats.total_us, name);
   }
   std::sort(by_total.begin(), by_total.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  Table span_table({"span", "count", "total ms", "mean ms", "max ms"});
+  Table span_table({"span", "count", "total ms", "self ms", "mean ms", "max ms"});
   for (std::size_t i = 0; i < by_total.size() && i < top; ++i) {
     const SpanStats& stats = spans.at(by_total[i].second);
     span_table.add_row({by_total[i].second, stats.count, stats.total_us / 1e3,
-                        stats.total_us / 1e3 / stats.count, stats.max_us / 1e3});
+                        stats.self_ns / 1e6, stats.total_us / 1e3 / stats.count,
+                        stats.max_us / 1e3});
   }
   if (span_table.row_count() > 0) {
     print_table(std::cout, "spans by total wall", span_table);
