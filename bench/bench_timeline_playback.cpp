@@ -1,10 +1,11 @@
 /// Timeline playback throughput and the two big cost levers:
 ///
 ///  - the warm-start payoff: play the builtin transient suite over a fixed
-///    horizon with the per-step CG solves seeded from the previous state
-///    (the TransientSolver default) and from zero (--cold-start
-///    equivalent), and report steps/sec plus the iteration savings — the
-///    savings grow as the field approaches steady state;
+///    horizon with the per-step CG solves seeded from the playback's
+///    same-phase prediction (the previous field plus its increment one
+///    schedule period earlier; the PlaybackOptions default) and from zero
+///    (--cold-start equivalent), and report steps/sec plus the iteration
+///    savings — the savings grow as the field approaches steady state;
 ///  - the adaptive-dt payoff: play the settle-bound builtin soak suite
 ///    until settle on the fixed grid and with adaptive stepping, and
 ///    report linear solves (steps), total CG iterations, steps/sec and

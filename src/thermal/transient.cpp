@@ -39,6 +39,7 @@ TransientSolver::TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> me
   // set_power throttle only the heat sources, not the ambient coupling.
   power_.resize(mesh_->cell_count());
   bc_rhs_.resize(mesh_->cell_count());
+  rhs_.resize(mesh_->cell_count());
   for (std::size_t i = 0; i < mesh_->cell_count(); ++i) {
     power_[i] = mesh_->power(i);
     bc_rhs_[i] = system_.rhs[i] - power_[i];
@@ -59,21 +60,31 @@ void TransientSolver::set_state(const ThermalField& field) {
 }
 
 const ThermalField& TransientSolver::step() {
-  const std::size_t n = mesh_->cell_count();
-  math::Vector rhs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rhs[i] = system_.capacitance[i] / options_.time_step * state_[i] + bc_rhs_[i] +
-             power_scale_ * power_[i];
+  update_rhs();
+  if (!options_.warm_start) {
+    state_.clear();  // empty -> CG starts from the zero vector
   }
-  if (options_.warm_start) {
-    // state_ already has the system size, so CG keeps it as the initial
-    // guess (solvers.hpp warm-start contract) — the previous step's field.
-    last_solve_ = math::conjugate_gradient(stepping_, rhs, state_, *precond_, options_.solver);
-  } else {
-    math::Vector x;  // empty -> CG starts from the zero vector
-    last_solve_ = math::conjugate_gradient(stepping_, rhs, x, *precond_, options_.solver);
-    state_ = std::move(x);
+  // Otherwise state_ already has the system size, so CG keeps it as the
+  // initial guess (solvers.hpp warm-start contract) — the previous field.
+  return solve_step();
+}
+
+const ThermalField& TransientSolver::step(const math::Vector& initial_guess) {
+  PH_REQUIRE(initial_guess.size() == mesh_->cell_count(),
+             "step: initial guess does not match the mesh");
+  update_rhs();
+  state_ = initial_guess;
+  return solve_step();
+}
+
+void TransientSolver::update_rhs() {
+  for (std::size_t i = 0; i < rhs_.size(); ++i) {
+    rhs_[i] = capacitance_over_dt_[i] * state_[i] + bc_rhs_[i] + power_scale_ * power_[i];
   }
+}
+
+const ThermalField& TransientSolver::solve_step() {
+  last_solve_ = math::conjugate_gradient(stepping_, rhs_, state_, *precond_, options_.solver);
   stats_.steps += 1;
   stats_.total_cg_iterations += last_solve_.iterations;
   stats_.max_cg_iterations = std::max(stats_.max_cg_iterations, last_solve_.iterations);
@@ -109,13 +120,14 @@ void TransientSolver::set_time_step(double dt) {
 
 void TransientSolver::rebuild_stepping() {
   // Diagonal-only shift: copy A's coefficient streams and add C/dt — no
-  // triplet sort, which is what makes adaptive-dt rebuilds cheap.
-  math::Vector shift = system_.capacitance;
-  for (std::size_t i = 0; i < shift.size(); ++i) {
-    shift[i] /= options_.time_step;
+  // triplet sort, which is what makes adaptive-dt rebuilds cheap. C/dt is
+  // kept: every step's rhs scales the state by it.
+  capacitance_over_dt_ = system_.capacitance;
+  for (double& c : capacitance_over_dt_) {
+    c /= options_.time_step;
   }
   stepping_ = system_.op;
-  stepping_.add_to_diagonal(shift);
+  stepping_.add_to_diagonal(capacitance_over_dt_);
   precond_ = math::make_preconditioner(options_.solver.preconditioner, stepping_,
                                        options_.solver.chebyshev);
 }

@@ -75,8 +75,17 @@ class TransientSolver {
   void set_state(const ThermalField& field);
 
   /// Advance one time step; returns the new field (state is kept
-  /// internally as well).
+  /// internally as well). CG starts from the previous state, or from zero
+  /// when TransientOptions::warm_start is off.
   const ThermalField& step();
+
+  /// Advance one time step with CG started from `initial_guess` instead,
+  /// whatever warm_start says; throws Error unless its size matches the
+  /// mesh. The stopping rule is step()'s, so the new state meets the same
+  /// residual bound; a guess equal to the current state reproduces a
+  /// warm-started step() bit for bit. The timeline engine passes its
+  /// same-phase prediction here (timeline/playback.hpp).
+  const ThermalField& step(const math::Vector& initial_guess);
 
   /// Advance `n` steps; returns the final field.
   const ThermalField& advance(std::size_t n);
@@ -126,9 +135,14 @@ class TransientSolver {
 
  private:
   void refresh_field();
-  /// Rebuild C/dt + A and the preconditioner cached with it for the current
-  /// time step.
+  /// Rebuild C/dt, C/dt + A and the preconditioner cached with it for the
+  /// current time step.
   void rebuild_stepping();
+  /// Fill rhs_ with (C/dt) T_n + q for the current state.
+  void update_rhs();
+  /// Solve for the new state from the guess in state_ (empty = zero) and
+  /// advance the clock.
+  const ThermalField& solve_step();
 
   std::shared_ptr<const mesh::RectilinearMesh> mesh_;
   TransientOptions options_;
@@ -139,6 +153,8 @@ class TransientSolver {
   std::unique_ptr<math::Preconditioner> precond_;
   math::Vector power_;             ///< injected power per cell [W]
   math::Vector bc_rhs_;            ///< boundary wall terms of the rhs
+  math::Vector capacitance_over_dt_;  ///< C/dt, refreshed with the stepping operator
+  math::Vector rhs_;               ///< per-step rhs, reused across steps
   math::Vector state_;
   std::optional<ThermalField> field_;  ///< mirrors state_ (state() is a cheap ref)
   math::SolverResult last_solve_;

@@ -20,11 +20,19 @@ std::string fmt_vector(const math::Vector& v) {
   return os.str();
 }
 
-math::Vector parse_vector(const std::string& value, const std::string& what) {
-  math::Vector v;
+std::vector<std::string> tokens(const std::string& value) {
+  std::vector<std::string> out;
   std::istringstream is(value);
   std::string token;
   while (is >> token) {
+    out.push_back(token);
+  }
+  return out;
+}
+
+math::Vector parse_vector(const std::string& value, const std::string& what) {
+  math::Vector v;
+  for (const std::string& token : tokens(value)) {
     v.push_back(parse_double(token, what));
   }
   return v;
@@ -57,7 +65,11 @@ std::string serialize_checkpoints(const std::vector<PlaybackCheckpoint>& checkpo
     os << "cycle_count = " << c.cycle_count << "\n";
     os << "cycle_hold = " << c.cycle_hold << "\n";
     os << "cycle_max_delta = " << fmt(c.cycle_max_delta) << "\n";
+    for (const math::Vector& field : c.history) {
+      os << "history = " << fmt_vector(field) << "\n";
+    }
     os << "state = " << fmt_vector(c.state) << "\n";
+    // Only a parsed legacy checkpoint has these; they round-trip as read.
     for (const math::Vector& slot : c.cycle_buffer) {
       os << "cycle = " << fmt_vector(slot) << "\n";
     }
@@ -153,6 +165,8 @@ std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
         c.cycle_hold = parse_uint(value, key);
       } else if (key == "cycle_max_delta") {
         c.cycle_max_delta = parse_double(value, key);
+      } else if (key == "history") {
+        c.history.push_back(parse_vector(value, key));
       } else if (key == "state") {
         c.state = parse_vector(value, key);
       } else if (key == "cycle") {
@@ -182,38 +196,36 @@ std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
       } else if (key == "cycle_delta") {
         t.cycle_delta = parse_double(value, key);
       } else if (key == "stats") {
-        const math::Vector parts = parse_vector(value, key);
+        const std::vector<std::string> parts = tokens(value);
         // 4-counter form: checkpoints written before preconditioner_builds
         // existed; they resume with the new counter at zero.
         if (parts.size() != 4 && parts.size() != 5) {
-          parse_fail(line_number, "stats expects 4 or 5 counters");
+          throw SpecError("stats expects 4 or 5 counters");
         }
-        t.stats.steps = static_cast<std::size_t>(parts[0]);
-        t.stats.total_cg_iterations = static_cast<std::size_t>(parts[1]);
-        t.stats.max_cg_iterations = static_cast<std::size_t>(parts[2]);
-        t.stats.reassemblies = static_cast<std::size_t>(parts[3]);
-        t.stats.preconditioner_builds = parts.size() == 5 ? static_cast<std::size_t>(parts[4]) : 0;
+        t.stats.steps = parse_uint(parts[0], "stats steps");
+        t.stats.total_cg_iterations = parse_uint(parts[1], "stats CG iterations");
+        t.stats.max_cg_iterations = parse_uint(parts[2], "stats max CG iterations");
+        t.stats.reassemblies = parse_uint(parts[3], "stats reassemblies");
+        t.stats.preconditioner_builds =
+            parts.size() == 5 ? parse_uint(parts[4], "stats preconditioner builds") : 0;
       } else if (key == "probes") {
-        t.probe_names.clear();
-        std::istringstream names(value);
-        std::string name;
-        while (names >> name) {
-          t.probe_names.push_back(name);
-        }
+        t.probe_names = tokens(value);
       } else if (key == "row") {
-        const math::Vector row = parse_vector(value, key);
+        const std::vector<std::string> row = tokens(value);
         if (row.size() < 3) {
-          parse_fail(line_number, "row expects time, power scale, CG iterations, samples");
+          throw SpecError("row expects time, power scale, CG iterations, samples");
         }
-        t.times.push_back(row[0]);
-        t.power_scale.push_back(row[1]);
-        t.cg_iterations.push_back(static_cast<std::size_t>(row[2]));
-        t.samples.emplace_back(row.begin() + 3, row.end());
+        t.times.push_back(parse_double(row[0], "row time"));
+        t.power_scale.push_back(parse_double(row[1], "row power scale"));
+        t.cg_iterations.push_back(parse_uint(row[2], "row CG iterations"));
+        std::vector<double> samples;
+        for (std::size_t k = 3; k < row.size(); ++k) {
+          samples.push_back(parse_double(row[k], "row sample"));
+        }
+        t.samples.push_back(std::move(samples));
       } else {
-        parse_fail(line_number, "unknown key `" + key + "`");
+        throw SpecError("unknown key `" + key + "`");
       }
-    } catch (const SpecError&) {
-      throw;
     } catch (const Error& e) {
       parse_fail(line_number, e.what());
     }

@@ -8,15 +8,20 @@
 ///     playback burst_d0p5
 ///     base_dt = 0.2
 ///     time = 1.4
+///     history = 25.0 25.2 ...
 ///     state = 25.1 25.3 ...
 ///     row = 0.2 1 14 25.1 26.0 ...
 ///     ...
 ///
 /// A `playback <name>` line opens a checkpoint; `key = value` lines fill it
-/// (the `cycle` and `row` keys repeat, in order). Every double is written
-/// in its shortest round-trip spelling (util::format_shortest), so
+/// (the `history` and `row` keys repeat, in order: the fields before
+/// `state`, oldest first, and one row per step). Files written before the
+/// history existed carry `cycle` lines (PlaybackCheckpoint::cycle_buffer)
+/// instead; they still parse and resume. Every double is written in its
+/// shortest round-trip spelling (util::format_shortest), so
 /// parse(serialize(x)) reproduces x bit for bit — which is what makes a
-/// resumed playback byte-identical to an uninterrupted one.
+/// resumed playback byte-identical to an uninterrupted one. Counters
+/// (steps, CG iterations, stats) must be whole non-negative integers.
 #pragma once
 
 #include <string>

@@ -35,10 +35,12 @@ constexpr double kDefaultMaxGrowthFactor = 64.0;
 /// steps instead of O(horizon / dt).
 constexpr double kAdaptiveContraction = 0.5;
 
-/// Periodic detection buffers one full period of fields. Above this many
-/// doubles (32 MB) the buffer is not worth the trade and detection is
-/// disabled (logged); the bound depends only on the problem, never on
-/// thread counts, so determinism is preserved.
+/// The field history holds one full period of fields plus the current one
+/// (same-phase prediction, periodic detection). Above this many doubles
+/// (32 MB) it is not worth the trade: the history keeps two fields (linear
+/// extrapolation) and periodic detection is disabled (logged); the bound
+/// depends only on the problem, never on thread counts, so determinism is
+/// preserved.
 constexpr std::size_t kPeriodicBufferCap = std::size_t{1} << 22;
 
 /// Max |a - b| over two vectors; the sizes must match (a settle or cycle
@@ -158,19 +160,46 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   last_step_delta_ = checkpoint.last_step_delta;
   trace_.final_time_step = dt_;
   if (periodic_enabled_) {
-    const std::size_t spp = timeline_.steps_per_period();
-    const std::size_t filled = std::min(checkpoint.cycle_count, spp);
-    PH_REQUIRE(checkpoint.cycle_buffer.size() == filled,
-               "checkpoint cycle buffer does not match its step counter");
-    for (std::size_t j = 0; j < filled; ++j) {
-      PH_REQUIRE(checkpoint.cycle_buffer[j].size() == n,
-                 "checkpoint cycle buffer does not match the mesh");
-      cycle_buffer_[j] = checkpoint.cycle_buffer[j];
-    }
     cycle_count_ = checkpoint.cycle_count;
     cycle_hold_ = checkpoint.cycle_hold;
     cycle_max_delta_ = checkpoint.cycle_max_delta;
   }
+  restore_history(checkpoint);
+}
+
+void Playback::restore_history(const PlaybackCheckpoint& checkpoint) {
+  PH_REQUIRE(checkpoint.history.empty() || checkpoint.cycle_buffer.empty(),
+             "checkpoint carries both a history and a legacy cycle buffer");
+  // The fields before T_n, oldest first.
+  std::vector<const math::Vector*> before;
+  if (checkpoint.cycle_buffer.empty()) {
+    PH_REQUIRE(checkpoint.history.size() < history_.capacity(),
+               "checkpoint history is longer than one period");
+    // The history and the periodic counter both restart with the grid.
+    PH_REQUIRE(!periodic_enabled_ ||
+                   checkpoint.history.size() == std::min(cycle_count_, history_.capacity() - 1),
+               "checkpoint history does not match its step counter");
+    for (const math::Vector& field : checkpoint.history) {
+      before.push_back(&field);
+    }
+  } else if (periodic_enabled_) {
+    // Written before the history existed: slot c % spp holds the field of
+    // the c-th counted step, and the newest slot is T_n itself.
+    const std::size_t spp = timeline_.steps_per_period();
+    const std::size_t filled = std::min(cycle_count_, spp);
+    PH_REQUIRE(checkpoint.cycle_buffer.size() == filled,
+               "checkpoint cycle buffer does not match its step counter");
+    for (std::size_t j = 0; j + 1 < filled; ++j) {
+      before.push_back(&checkpoint.cycle_buffer[(cycle_count_ - filled + j) % spp]);
+    }
+  }
+  history_.reset(history_.capacity());
+  for (const math::Vector* field : before) {
+    PH_REQUIRE(field->size() == checkpoint.state.size(),
+               "checkpoint history does not match the mesh");
+    history_.push(*field);
+  }
+  history_.push(checkpoint.state);
 }
 
 void Playback::build_scene(const scenario::ScenarioSpec& spec) {
@@ -283,8 +312,9 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   }
   current_segment_ = static_cast<std::size_t>(-1);  // force set_power next step
 
-  // A new grid resets the detectors: the settle hold and the
-  // cycle-over-cycle comparison are both defined per period of one grid.
+  // A new grid resets the detectors and the field history: the settle
+  // hold, the cycle-over-cycle comparison and the same-phase increment are
+  // all defined per period of one grid.
   step_in_period_ = 0;
   in_tolerance_run_ = 0;
   cycle_count_ = 0;
@@ -292,16 +322,20 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   cycle_max_delta_ = 0.0;
 
   // The grid derives from the schedule, so the oscillation gate is exactly
-  // the constant-scale predicate both ctors already evaluated.
+  // the constant-scale predicate both ctors already evaluated. A constant
+  // schedule's compiled period is arbitrary, so its history looks back one
+  // step.
   const bool multi_scale = !constant_scale_;
-  const bool fits = spp * n <= kPeriodicBufferCap;
+  const bool fits = (spp + 1) * n <= kPeriodicBufferCap;
+  const std::size_t period = multi_scale && fits ? spp : 1;  // P
   periodic_enabled_ = options_.detect_periodic_steady && multi_scale && spp >= 2 && fits;
-  if (options_.detect_periodic_steady && multi_scale && spp >= 2 && !fits) {
-    PH_LOG_DEBUG << "timeline `" << trace_.scenario << "`: periodic-steady detection "
-                 << "disabled; one period of fields (" << spp << " x " << n
-                 << " cells) exceeds the buffer cap";
+  if (multi_scale && !fits) {
+    PH_LOG_DEBUG << "timeline `" << trace_.scenario << "`: periodic-steady detection and "
+                 << "same-phase prediction disabled; one period of fields (" << spp + 1
+                 << " x " << n << " cells) exceeds the buffer cap";
   }
-  cycle_buffer_.assign(periodic_enabled_ ? spp : 0, math::Vector());
+  history_.reset(period + 1);
+  history_.push(solver_->state().temperatures());
 }
 
 void Playback::maybe_grow_dt() {
@@ -356,12 +390,12 @@ void Playback::update_periodic(const math::Vector& temperatures) {
     return;
   }
   const std::size_t spp = timeline_.steps_per_period();
-  const std::size_t slot = cycle_count_ % spp;
   if (cycle_count_ >= spp) {
+    // The history still ends at T_n: one period before the new field is
+    // spp - 1 steps before its newest entry.
     cycle_max_delta_ =
-        std::max(cycle_max_delta_, max_abs_delta(temperatures, cycle_buffer_[slot]));
+        std::max(cycle_max_delta_, max_abs_delta(temperatures, history_.back(spp - 1)));
   }
-  cycle_buffer_[slot] = temperatures;
   cycle_count_ += 1;
   if (cycle_count_ % spp != 0 || cycle_count_ < 2 * spp) {
     return;
@@ -385,11 +419,19 @@ void Playback::step_once() {
     solver_->set_power(segment_power_[segment]);
     current_segment_ = segment;
   }
-  if (options_.adaptive) {
-    previous_state_ = solver_->state().temperatures();
+  // Same-phase prediction once the history holds T_{n-P} ... T_n.
+  const bool predict = options_.warm_start && history_.size() == history_.capacity();
+  if (predict) {
+    const std::size_t p = history_.capacity() - 1;
+    const math::Vector& t_n = history_.back(0);
+    const math::Vector& t_a = history_.back(p - 1);  // T_{n+1-P}
+    const math::Vector& t_b = history_.back(p);      // T_{n-P}
+    guess_.resize(t_n.size());
+    for (std::size_t i = 0; i < t_n.size(); ++i) {
+      guess_[i] = t_n[i] + (t_a[i] - t_b[i]);
+    }
   }
-
-  const thermal::ThermalField& field = solver_->step();
+  const thermal::ThermalField& field = predict ? solver_->step(guess_) : solver_->step();
   telemetry::count(telemetry::Counter::kPlaybackSteps);
   trace_.times.push_back(solver_->time());
   trace_.power_scale.push_back(timeline_.segments[segment].scale);
@@ -410,9 +452,10 @@ void Playback::step_once() {
     trace_.settle_time = trace_.times[trace_.settle_step];
   }
   if (options_.adaptive) {
-    last_step_delta_ = max_abs_delta(field.temperatures(), previous_state_);
+    last_step_delta_ = max_abs_delta(field.temperatures(), history_.back(0));
   }
   update_periodic(field.temperatures());
+  history_.push(field.temperatures());
 
   // Soak heartbeat: a stable key=value stderr line every N steps (see
   // PlaybackOptions::progress_every). Logging only — never the trace, never
@@ -466,13 +509,33 @@ PlaybackCheckpoint Playback::checkpoint() const {
   ckpt.cycle_hold = cycle_hold_;
   ckpt.cycle_max_delta = cycle_max_delta_;
   ckpt.state = solver_->state().temperatures();
-  if (periodic_enabled_) {
-    const std::size_t filled = std::min(cycle_count_, timeline_.steps_per_period());
-    ckpt.cycle_buffer.assign(cycle_buffer_.begin(),
-                             cycle_buffer_.begin() + static_cast<std::ptrdiff_t>(filled));
+  for (std::size_t k = history_.size(); k-- > 1;) {
+    ckpt.history.push_back(history_.back(k));
   }
   ckpt.trace = trace_;
   return ckpt;
+}
+
+void Playback::FieldRing::reset(std::size_t capacity) {
+  PH_REQUIRE(capacity >= 1, "field ring needs at least one slot");
+  slots_.resize(capacity);
+  oldest_ = 0;
+  size_ = 0;
+}
+
+void Playback::FieldRing::push(const math::Vector& field) {
+  const std::size_t slot = (oldest_ + size_) % slots_.size();
+  if (size_ == slots_.size()) {
+    oldest_ = (oldest_ + 1) % slots_.size();
+  } else {
+    size_ += 1;
+  }
+  slots_[slot] = field;  // reuses the slot's storage
+}
+
+const math::Vector& Playback::FieldRing::back(std::size_t k) const {
+  PH_REQUIRE(k < size_, "field ring holds fewer fields");
+  return slots_[(oldest_ + size_ - 1 - k) % slots_.size()];
 }
 
 TimelineTrace play_scenario(const scenario::ScenarioSpec& spec,

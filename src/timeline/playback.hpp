@@ -7,6 +7,15 @@
 /// field against the duty-averaged steady-state solution so time-to-steady
 /// (the calibration latency of Sec. II) is a first-class output.
 ///
+/// Warm start predicts each step from the field's increment at the same
+/// phase one schedule period earlier: T_{n+1} ~ T_n + (T_{n+1-P} - T_{n-P}),
+/// with P the steps per period of a multi-scale schedule and P = 1 (linear
+/// extrapolation) for a constant one. One ring of the last P + 1 fields
+/// serves the predictor, the periodic-steady detector and the adaptive
+/// criterion; until it fills (the first P steps on a grid) the guess is the
+/// previous field. CG's stopping rule is unchanged, so every field meets
+/// the same residual bound as with any other guess.
+///
 /// Power handling: the scenario's schedule modulates only the chip activity
 /// (the tile heat sources), exactly like the steady-state duty fold in
 /// ScenarioSpec::effective_design — the ONI device powers (VCSELs, drivers,
@@ -35,10 +44,10 @@
 ///    steady reference. Constant schedules (ramps) are exempt: their
 ///    per-step delta shrinking is not evidence of a repeating cycle.
 ///  - **Checkpoint/restore**: checkpoint() captures the complete playback
-///    state (solver field and clock, trace prefix, settle/periodic/adaptive
-///    detector state); resuming from it continues bit-identically to an
-///    uninterrupted run (timeline/checkpoint.hpp serializes the state to a
-///    round-trippable text file for the CLI).
+///    state (solver field and clock, field history, trace prefix,
+///    settle/periodic/adaptive detector state); resuming from it continues
+///    bit-identically to an uninterrupted run (timeline/checkpoint.hpp
+///    serializes the state to a round-trippable text file for the CLI).
 #pragma once
 
 #include <cstddef>
@@ -73,7 +82,10 @@ struct PlaybackOptions {
   /// the settle criterion above or, for oscillating schedules, the
   /// cycle-over-cycle periodic-steady criterion.
   bool stop_on_settle = true;
-  /// Warm-start each step's CG from the previous state (TransientOptions).
+  /// Start each step's CG from the same-phase prediction (file comment),
+  /// or from the previous state until the field history fills. Off starts
+  /// every solve from zero (TransientOptions::warm_start, `--cold-start`),
+  /// which only measures the warm-start payoff.
   bool warm_start = true;
   /// Solver knobs for both the per-step solves and the steady reference.
   /// Defaults to TransientOptions' tolerances.
@@ -157,7 +169,8 @@ struct TimelineTrace {
 };
 
 /// Complete state of a paused playback. Everything a Playback needs to
-/// continue bit-identically: the solver field and clock, the position on
+/// continue bit-identically: the solver field and clock, the fields before
+/// it that the predictor and the periodic detector read, the position on
 /// the (possibly regrown) step grid, the settle/periodic/adaptive detector
 /// state and the trace recorded so far. Serialized to a round-trippable
 /// text format by timeline/checkpoint.hpp.
@@ -172,9 +185,20 @@ struct PlaybackCheckpoint {
   std::size_t cycle_count = 0;     ///< steps since the last periodic reset
   std::size_t cycle_hold = 0;      ///< consecutive steady periods so far
   double cycle_max_delta = 0.0;    ///< running max within the open period
-  math::Vector state;              ///< solver field at the pause
-  /// Rolling previous-period fields (slot order); min(cycle_count,
-  /// steps-per-period) slots are filled.
+  math::Vector state;              ///< solver field at the pause (T_n)
+  /// The fields before `state` in the playback's history, oldest first:
+  /// T_{n-h} ... T_{n-1} with h <= P (steps per period, 1 for a constant
+  /// schedule); fewer when the pause came less than P steps after the
+  /// grid was set up.
+  std::vector<math::Vector> history;
+  /// Checkpoints written before `history` existed carry the periodic
+  /// detector's previous-period fields instead, in slot order: slot
+  /// c % steps-per-period holds the field of the c-th step counted by
+  /// cycle_count. Resume rebuilds the history from them, at most one field
+  /// short, so at most one step that an uninterrupted run predicts starts
+  /// from the previous state instead: the continuation matches an
+  /// uninterrupted run within the solver tolerance, not bit for bit.
+  /// checkpoint() leaves it empty.
   std::vector<math::Vector> cycle_buffer;
   TimelineTrace trace;             ///< trace prefix, including stats
 };
@@ -218,6 +242,26 @@ class Playback {
   void maybe_grow_dt();
   void step_once();
   void update_periodic(const math::Vector& temperatures);
+  void restore_history(const PlaybackCheckpoint& checkpoint);
+
+  /// The last fields in time order, at most `capacity` of them. A push into
+  /// a full ring overwrites the oldest slot in place, so stepping on a
+  /// fixed grid allocates nothing.
+  class FieldRing {
+   public:
+    /// Empty the ring and set its capacity (>= 1).
+    void reset(std::size_t capacity);
+    void push(const math::Vector& field);
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return slots_.size(); }
+    /// The field `k` steps before the newest one (k = 0: the newest).
+    const math::Vector& back(std::size_t k) const;
+
+   private:
+    std::vector<math::Vector> slots_;
+    std::size_t oldest_ = 0;  ///< slot of the oldest field
+    std::size_t size_ = 0;
+  };
 
   PlaybackOptions options_;
   std::vector<power::ActivityPhase> schedule_;
@@ -241,10 +285,15 @@ class Playback {
   std::size_t step_in_period_ = 0;
   std::size_t in_tolerance_run_ = 0;
   double last_step_delta_ = 0.0;
-  math::Vector previous_state_;  ///< adaptive-criterion scratch
+
+  /// T_{n-P} ... T_n (T_n = the solver state; capacity P + 1): the
+  /// predictor reads the same-phase increment from it, the periodic
+  /// detector the field one period back and the adaptive criterion T_n. A
+  /// new grid resets it to [T_n].
+  FieldRing history_;
+  math::Vector guess_;  ///< predicted field, reused across steps
 
   bool periodic_enabled_ = false;
-  std::vector<math::Vector> cycle_buffer_;
   std::size_t cycle_count_ = 0;
   std::size_t cycle_hold_ = 0;
   double cycle_max_delta_ = 0.0;

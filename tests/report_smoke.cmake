@@ -14,7 +14,8 @@
 #   4. summarize must render both artifact kinds.
 #   5. on a hand-written trace (report/self_time_trace.json: a 10 ms span
 #      with 3 ms and 4 ms children and a 2 ms grandchild under the 4 ms
-#      child) summarize must report each span's self time.
+#      child) summarize must report each span's self time and the share of
+#      its wall its children cover.
 
 foreach(var PHOTHERM_CLI PHOTHERM_REPORT RULES WORK_DIR)
   if(NOT DEFINED ${var})
@@ -116,6 +117,17 @@ foreach(expect "span\\.parent_10ms \\| +1 \\| +10 \\| +3 \\|"
                "span\\.grandchild_2ms \\| +1 \\| +2 \\| +2 \\|")
   if(NOT sum_self MATCHES "${expect}")
     message(FATAL_ERROR "trace summary self times: no row matches `${expect}`; "
+                        "got:\n${sum_self}")
+  endif()
+endforeach()
+# cover % is 100 x (total - self) / total: 7 of the parent's 10 ms, 2 of the
+# 4 ms child's, none of a leaf's.
+foreach(expect "span\\.parent_10ms \\| +1 \\| +10 \\| +3 \\| +70 \\|"
+               "span\\.child_3ms \\| +1 \\| +3 \\| +3 \\| +0 \\|"
+               "span\\.child_4ms \\| +1 \\| +4 \\| +2 \\| +50 \\|"
+               "span\\.grandchild_2ms \\| +1 \\| +2 \\| +2 \\| +0 \\|")
+  if(NOT sum_self MATCHES "${expect}")
+    message(FATAL_ERROR "trace summary cover %: no row matches `${expect}`; "
                         "got:\n${sum_self}")
   endif()
 endforeach()

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 
 #include "core/methodology.hpp"
 #include "scenario/registry.hpp"
@@ -37,6 +39,40 @@ void expect_bit_identical(const std::vector<T>& a, const std::vector<T>& b,
                           const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0) << what;
+}
+
+/// Every per-step number and detector verdict of two traces, bit for bit.
+void expect_same_trace(const timeline::TimelineTrace& a, const timeline::TimelineTrace& b) {
+  expect_bit_identical(a.times, b.times, "times");
+  expect_bit_identical(a.power_scale, b.power_scale, "power_scale");
+  expect_bit_identical(a.cg_iterations, b.cg_iterations, "cg_iterations");
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t k = 0; k < a.samples.size(); ++k) {
+    expect_bit_identical(a.samples[k], b.samples[k], "samples");
+  }
+  EXPECT_EQ(a.settled, b.settled);
+  EXPECT_EQ(a.settle_step, b.settle_step);
+  EXPECT_EQ(a.final_delta, b.final_delta);
+  EXPECT_EQ(a.periodic_steady, b.periodic_steady);
+  EXPECT_EQ(a.cycle_delta, b.cycle_delta);
+  EXPECT_EQ(a.dt_growths, b.dt_growths);
+  EXPECT_EQ(a.final_time_step, b.final_time_step);
+  EXPECT_EQ(a.stats.steps, b.stats.steps);
+  EXPECT_EQ(a.stats.total_cg_iterations, b.stats.total_cg_iterations);
+  EXPECT_EQ(a.stats.max_cg_iterations, b.stats.max_cg_iterations);
+}
+
+/// Pause `playback` here, round-trip its checkpoint through the text form
+/// (the resumed process never sees the in-memory state) and play the rest
+/// in a fresh Playback.
+timeline::TimelineTrace resume_to_the_end(const timeline::Playback& playback,
+                                          const ScenarioSpec& spec,
+                                          const timeline::PlaybackOptions& options) {
+  const auto parsed =
+      timeline::parse_checkpoints(timeline::serialize_checkpoints({playback.checkpoint()}));
+  timeline::Playback resumed(spec, options, parsed.at(0));
+  resumed.run();
+  return resumed.take_trace();
 }
 
 TEST(Timeline, EmptyScheduleCompilesToAlwaysOn) {
@@ -219,6 +255,30 @@ TEST(Timeline, WarmStartCutsCgIterations) {
   // Same physics either way: the final fields agree to solver tolerance.
   for (std::size_t p = 0; p < warm_trace.probe_names.size(); ++p) {
     EXPECT_NEAR(warm_trace.samples.back()[p], cold_trace.samples.back()[p], 1e-6);
+  }
+
+  // On a burst the previous field is a poor guess across every phase edge;
+  // the increment one period back is not. 20 periods of a 0.25 s on /
+  // 0.25 s off square wave at dt 0.05 (P = 10 steps): starting each solve
+  // from the previous field cost 1,689 CG iterations against 2,400 cold;
+  // the same-phase prediction costs 1,079.
+  ScenarioSpec burst = coarse_scenario();
+  burst.name = "burst";
+  burst.schedule = {{0.25, 1.0}, {0.25, 0.0}};
+  timeline::PlaybackOptions burst_options = options;
+  burst_options.time_step = 0.05;
+  burst_options.max_periods = 20;
+  timeline::PlaybackOptions burst_cold = burst_options;
+  burst_cold.warm_start = false;
+  const timeline::TimelineTrace burst_warm_trace = timeline::play_scenario(burst, burst_options);
+  const timeline::TimelineTrace burst_cold_trace = timeline::play_scenario(burst, burst_cold);
+
+  ASSERT_EQ(burst_warm_trace.step_count(), 200u);
+  ASSERT_EQ(burst_cold_trace.step_count(), 200u);
+  EXPECT_LT(2 * burst_warm_trace.stats.total_cg_iterations,
+            burst_cold_trace.stats.total_cg_iterations);
+  for (std::size_t p = 0; p < burst_warm_trace.probe_names.size(); ++p) {
+    EXPECT_NEAR(burst_warm_trace.samples.back()[p], burst_cold_trace.samples.back()[p], 1e-6);
   }
 }
 
@@ -497,6 +557,12 @@ TEST(TimelineCheckpoint, TextRoundTripIsExact) {
   for (std::size_t j = 0; j < back.cycle_buffer.size(); ++j) {
     expect_bit_identical(back.cycle_buffer[j], ckpt.cycle_buffer[j], "cycle slot");
   }
+  // Four steps in, the history holds the full period before the state.
+  ASSERT_EQ(ckpt.history.size(), 3u);
+  ASSERT_EQ(back.history.size(), ckpt.history.size());
+  for (std::size_t j = 0; j < back.history.size(); ++j) {
+    expect_bit_identical(back.history[j], ckpt.history[j], "history field");
+  }
   EXPECT_EQ(back.trace.probe_names, ckpt.trace.probe_names);
   expect_bit_identical(back.trace.times, ckpt.trace.times, "times");
   expect_bit_identical(back.trace.power_scale, ckpt.trace.power_scale, "power_scale");
@@ -557,6 +623,32 @@ TEST(TimelineCheckpoint, ResumeContinuesBitIdentically) {
   ScenarioSpec renamed = s;
   renamed.name = "other";
   EXPECT_THROW(timeline::Playback(renamed, options, parsed.at(0)), Error);
+
+  // Every fill state of the field history. This schedule predicts from one
+  // period back (P = 3): steps 1 and P - 1 = 2 pause with the history not
+  // yet full, step P = 3 with it just full, 4 (above) and 10 several
+  // periods in.
+  for (std::size_t pause : {1u, 2u, 3u, 10u}) {
+    SCOPED_TRACE("burst, paused after " + std::to_string(pause) + " steps");
+    timeline::Playback paused(s, options);
+    ASSERT_EQ(paused.run(pause), pause);
+    expect_same_trace(resume_to_the_end(paused, s, options), uninterrupted);
+  }
+  // A constant schedule extrapolates from one step back (P = 1), whatever
+  // its compiled period (2 steps here): pause before any step (history
+  // empty), at step 1 (just full) and several steps in.
+  ScenarioSpec ramp = coarse_scenario();
+  ramp.name = "ramp";
+  ramp.schedule = {{0.4, 1.0}};
+  const timeline::TimelineTrace ramp_uninterrupted = timeline::play_scenario(ramp, options);
+  ASSERT_EQ(ramp_uninterrupted.step_count(), 10u);
+  for (std::size_t pause : {0u, 1u, 2u, 7u}) {
+    SCOPED_TRACE("ramp, paused after " + std::to_string(pause) + " steps");
+    timeline::Playback paused(ramp, options);
+    ASSERT_EQ(paused.run(pause), pause);
+    EXPECT_EQ(paused.checkpoint().history.size(), std::min<std::size_t>(pause, 1));
+    expect_same_trace(resume_to_the_end(paused, ramp, options), ramp_uninterrupted);
+  }
 }
 
 TEST(TimelineCheckpoint, ResumeAcrossAdaptiveGrowthIsBitIdentical) {
@@ -603,6 +695,150 @@ TEST(TimelineCheckpoint, ResumeAcrossAdaptiveGrowthIsBitIdentical) {
   EXPECT_EQ(trace.dt_growths, full.dt_growths);
   EXPECT_EQ(trace.final_time_step, full.final_time_step);
   EXPECT_EQ(trace.settle_time, full.settle_time);
+
+  // Pause on the step right after a growth: the growth reset the field
+  // history to [T_n], so the checkpoint carries one field before the state.
+  ASSERT_GE(full.dt_growths, 2u);
+  for (std::size_t growths : {1u, 2u}) {
+    SCOPED_TRACE("paused right after growth " + std::to_string(growths));
+    timeline::Playback paused(s, options);
+    while (!paused.finished() && paused.trace().dt_growths < growths) {
+      paused.run(1);
+    }
+    ASSERT_FALSE(paused.finished());
+    EXPECT_EQ(paused.checkpoint().history.size(), 1u);
+    expect_same_trace(resume_to_the_end(paused, s, options), full);
+  }
+
+  // The same on a burst, where growth also changes P (20 -> 10 steps per
+  // period): the settings of TimelineAdaptive.GrowthRespectsThePeriodBound-
+  // OnBurstSchedules grow once, at the end of the first period.
+  ScenarioSpec burst = coarse_scenario();
+  burst.name = "burst";
+  burst.schedule = {{0.5, 1.0}, {0.5, 0.1}};
+  timeline::PlaybackOptions burst_options;
+  burst_options.time_step = 0.05;
+  burst_options.max_periods = 6;
+  burst_options.stop_on_settle = false;
+  burst_options.adaptive = true;
+  burst_options.adaptive_threshold = 1e9;
+  burst_options.max_period_error = 0.05;
+  const timeline::TimelineTrace burst_full = timeline::play_scenario(burst, burst_options);
+  ASSERT_EQ(burst_full.dt_growths, 1u);
+  for (std::size_t after_growth : {1u, 9u, 10u, 11u}) {
+    SCOPED_TRACE("burst, paused " + std::to_string(after_growth) + " steps after its growth");
+    timeline::Playback paused(burst, burst_options);
+    while (!paused.finished() && paused.trace().dt_growths == 0) {
+      paused.run(1);
+    }
+    paused.run(after_growth - 1);
+    ASSERT_FALSE(paused.finished());
+    EXPECT_EQ(paused.checkpoint().history.size(), std::min<std::size_t>(after_growth, 10));
+    expect_same_trace(resume_to_the_end(paused, burst, burst_options), burst_full);
+  }
+}
+
+TEST(TimelineCheckpoint, LegacyCycleCheckpointStillResumes) {
+  // tests/timeline/legacy_cycle_checkpoint.txt was written before the
+  // checkpoint carried a field history: it holds the periodic detector's
+  // cycle buffer instead, paused four steps into this playback (P = 3, so
+  // the buffer has wrapped and its oldest field sits in slot 1).
+  ScenarioSpec s = coarse_scenario();
+  s.name = "legacy";
+  s.design.global_cell_xy = 6e-3;
+  s.schedule = {{0.4, 1.0}, {0.2, 0.1}};
+  timeline::PlaybackOptions options;
+  options.time_step = 0.2;
+  options.max_periods = 5;
+  options.stop_on_settle = false;
+
+  const std::vector<timeline::PlaybackCheckpoint> checkpoints = timeline::load_checkpoint_file(
+      std::string(PHOTHERM_TESTS_DIR) + "/timeline/legacy_cycle_checkpoint.txt");
+  ASSERT_EQ(checkpoints.size(), 1u);
+  const timeline::PlaybackCheckpoint& legacy = checkpoints[0];
+  EXPECT_TRUE(legacy.history.empty());
+  EXPECT_EQ(legacy.cycle_count, 4u);
+  ASSERT_EQ(legacy.cycle_buffer.size(), 3u);
+  EXPECT_EQ(legacy.trace.step_count(), 4u);
+  // Its newest slot ((4 - 1) % 3 = 0) is the state itself.
+  expect_bit_identical(legacy.cycle_buffer[0], legacy.state, "newest cycle slot");
+  // It round-trips as read.
+  const std::string text = timeline::serialize_checkpoints(checkpoints);
+  EXPECT_EQ(timeline::serialize_checkpoints(timeline::parse_checkpoints(text)), text);
+
+  // The rebuilt history is one field short of a full period, so the first
+  // resumed step starts from the previous field instead of the prediction,
+  // and the file's own four rows were solved from other guesses: the
+  // continuation matches an uninterrupted run within the solver tolerance,
+  // not bit for bit. CG stops at a relative residual of 1e-10, which on
+  // these ~40 degC fields leaves ~1e-8 degC of room between two valid
+  // solves of one step. The yardstick is a cold-started playback (same
+  // stopping rule, zero guesses): measured, the legacy continuation is
+  // within 6.8e-9 degC of the uninterrupted trace (3.2e-9 in the file's
+  // rows) and the cold start within 2.1e-8.
+  const timeline::TimelineTrace uninterrupted = timeline::play_scenario(s, options);
+  timeline::PlaybackOptions cold_options = options;
+  cold_options.warm_start = false;
+  const timeline::TimelineTrace cold = timeline::play_scenario(s, cold_options);
+  timeline::Playback resumed(s, options, legacy);
+  resumed.run();
+  const timeline::TimelineTrace trace = resumed.take_trace();
+  ASSERT_EQ(trace.step_count(), uninterrupted.step_count());
+  ASSERT_EQ(cold.step_count(), uninterrupted.step_count());
+  expect_bit_identical(trace.times, uninterrupted.times, "times");
+  expect_bit_identical(trace.power_scale, uninterrupted.power_scale, "power_scale");
+  const auto max_sample_delta = [&](const timeline::TimelineTrace& other) {
+    double delta = 0.0;
+    for (std::size_t k = 0; k < other.step_count(); ++k) {
+      for (std::size_t p = 0; p < other.probe_names.size(); ++p) {
+        delta = std::max(delta, std::abs(other.samples[k][p] - uninterrupted.samples[k][p]));
+      }
+    }
+    return delta;
+  };
+  const double cold_delta = max_sample_delta(cold);
+  EXPECT_GT(cold_delta, 0.0);
+  EXPECT_LT(cold_delta, 1e-7);
+  EXPECT_LE(max_sample_delta(trace), cold_delta);
+  EXPECT_EQ(trace.periodic_steady, uninterrupted.periodic_steady);
+  EXPECT_NEAR(trace.cycle_delta, uninterrupted.cycle_delta, 1e-7);
+  EXPECT_NEAR(trace.final_delta, uninterrupted.final_delta, 1e-7);
+  EXPECT_EQ(trace.stats.steps, uninterrupted.stats.steps);
+}
+
+TEST(TimelineCheckpoint, RejectsMalformedCounters) {
+  const std::string good =
+      "playback x\n"
+      "base_dt = 0.05\n"
+      "current_dt = 0.05\n"
+      "state = 25 25\n"
+      "stats = 1 9007199254740993 3 0 0\n"
+      "row = 0.05 1 3 20\n";
+  const auto parsed = timeline::parse_checkpoints(good);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].trace.cg_iterations, std::vector<std::size_t>{3});
+  // 2^53 + 1 has no double: a counter read through one came back as 2^53.
+  EXPECT_EQ(parsed[0].trace.stats.total_cg_iterations, std::size_t{9007199254740993u});
+  const std::string text = timeline::serialize_checkpoints(parsed);
+  EXPECT_EQ(timeline::serialize_checkpoints(timeline::parse_checkpoints(text)), text);
+
+  // Counters are whole non-negative integers; each bad one names its line.
+  const auto expect_rejected = [&](const std::string& line, const std::string& bad,
+                                   const std::string& where) {
+    std::string doctored = good;
+    doctored.replace(doctored.find(line), line.size(), bad);
+    try {
+      timeline::parse_checkpoints(doctored);
+      ADD_FAILURE() << "`" << bad << "` must be rejected";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("row = 0.05 1 3 20", "row = 0.05 1 -3 20", "line 6");
+  expect_rejected("row = 0.05 1 3 20", "row = 0.05 1 2.7 20", "line 6");
+  expect_rejected("stats = 1 9007199254740993 3 0 0", "stats = 1 -2 1e30 0 0", "line 5");
+  // Malformed doubles name their line too.
+  expect_rejected("state = 25 25", "state = 25 x", "line 4");
 }
 
 TEST(TimelineCheckpoint, RunnerPauseAndResumeMatchAtAnyThreadCount) {

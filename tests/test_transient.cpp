@@ -184,6 +184,33 @@ TEST(Transient, SetPowerValidatesTheSize) {
   EXPECT_THROW(solver.set_power(math::Vector(3, 0.0)), Error);
 }
 
+TEST(Transient, StepFromTheStateAsGuessMatchesAWarmStep) {
+  Rig rig = make_rig(0.5);
+  TransientOptions options;
+  options.time_step = 2e-3;
+  TransientSolver warm(rig.mesh, rig.bcs, options);
+  warm.set_uniform_state(25.0);
+  // The guess overrides warm_start: a cold solver handed its own state
+  // takes exactly the warm solver's steps.
+  options.warm_start = false;
+  TransientSolver guessed(rig.mesh, rig.bcs, options);
+  guessed.set_uniform_state(25.0);
+
+  for (int step = 0; step < 5; ++step) {
+    const math::Vector guess = guessed.state().temperatures();
+    const ThermalField& a = warm.step();
+    const ThermalField& b = guessed.step(guess);
+    ASSERT_EQ(a.temperatures(), b.temperatures()) << "step " << step;
+    ASSERT_EQ(warm.last_solve().iterations, guessed.last_solve().iterations) << "step " << step;
+  }
+  EXPECT_EQ(warm.time(), guessed.time());
+
+  // A guess that does not match the mesh is refused before the step runs.
+  EXPECT_THROW(guessed.step(math::Vector(3, 25.0)), Error);
+  EXPECT_EQ(guessed.stats().steps, 5u);
+  EXPECT_EQ(guessed.time(), warm.time());
+}
+
 TEST(Transient, Validation) {
   Rig rig = make_rig(0.1);
   TransientOptions options;

@@ -808,6 +808,7 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
     double count = 0.0;
     double total_us = 0.0;
     double self_ns = 0.0;
+    double children_ns = 0.0;  ///< wall covered by direct children
     double max_us = 0.0;
   };
   /// One "X" event, timed in whole nanoseconds (the exporter writes
@@ -870,6 +871,7 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
     }
     for (const Interval& span : intervals) {
       span.stats->self_ns += span.dur_ns - span.children_ns;
+      span.stats->children_ns += span.children_ns;
     }
   }
 
@@ -879,11 +881,15 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
   }
   std::sort(by_total.begin(), by_total.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  Table span_table({"span", "count", "total ms", "self ms", "mean ms", "max ms"});
+  // cover %: the share of a span's wall its direct children account for,
+  // 100 x (total - self) / total in the same whole nanoseconds.
+  Table span_table({"span", "count", "total ms", "self ms", "cover %", "mean ms", "max ms"});
   for (std::size_t i = 0; i < by_total.size() && i < top; ++i) {
     const SpanStats& stats = spans.at(by_total[i].second);
+    const double wall_ns = stats.self_ns + stats.children_ns;
+    const double cover = wall_ns > 0.0 ? 100.0 * stats.children_ns / wall_ns : 0.0;
     span_table.add_row({by_total[i].second, stats.count, stats.total_us / 1e3,
-                        stats.self_ns / 1e6, stats.total_us / 1e3 / stats.count,
+                        stats.self_ns / 1e6, cover, stats.total_us / 1e3 / stats.count,
                         stats.max_us / 1e3});
   }
   if (span_table.row_count() > 0) {
