@@ -197,8 +197,6 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
     num(mat.conductivity);
     num(mat.density);
     num(mat.specific_heat);
-    num(mat.conductivity_exponent);
-    num(mat.reference_temperature);
   }
 
   os << "onis:";

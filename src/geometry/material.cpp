@@ -1,7 +1,5 @@
 #include "geometry/material.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace photherm::geometry {
@@ -35,15 +33,6 @@ const Material kStandard[] = {
     {"bonding", 4.0, 2600.0, 700.0},
 };
 }  // namespace
-
-double Material::conductivity_at(double t_celsius) const {
-  if (conductivity_exponent == 0.0) {
-    return conductivity;
-  }
-  const double t_kelvin = t_celsius + 273.15;
-  PH_REQUIRE(t_kelvin > 0.0, "temperature below absolute zero");
-  return conductivity * std::pow(reference_temperature / t_kelvin, conductivity_exponent);
-}
 
 MaterialLibrary::MaterialLibrary() : MaterialLibrary(true) {}
 

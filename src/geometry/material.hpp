@@ -19,17 +19,9 @@ struct MaterialId {
 /// Homogeneous isotropic material.
 struct Material {
   std::string name;
-  double conductivity;    ///< [W/(m*K)] at the reference temperature
+  double conductivity;    ///< [W/(m*K)]
   double density;         ///< [kg/m^3]
   double specific_heat;   ///< [J/(kg*K)]
-
-  /// Power-law temperature dependence: k(T) = k_ref (T_ref/T)^exponent
-  /// with temperatures in kelvin (silicon: ~1.3). 0 = constant (default).
-  double conductivity_exponent = 0.0;
-  double reference_temperature = 300.0;  ///< [K]
-
-  /// Conductivity at temperature `t_celsius` [W/(m*K)].
-  double conductivity_at(double t_celsius) const;
 };
 
 /// Registry of materials; ids are stable for the lifetime of the library

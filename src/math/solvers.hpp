@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "math/csr_matrix.hpp"
+#include "math/linear_operator.hpp"
 #include "math/preconditioner.hpp"
 
 namespace photherm::math {
@@ -50,7 +50,7 @@ struct SolverResult {
   std::vector<double> convergence;
 };
 
-/// Warm-start contract shared by every solver below: `x` is used as the
+/// Warm-start contract of both CG overloads below: `x` is used as the
 /// initial guess if and only if `x.size()` already equals the system size;
 /// any other size (including empty) is reset to the zero vector. A
 /// correctly sized vector is therefore never silently truncated or padded
@@ -68,14 +68,6 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
 /// across the whole run instead of paying it per solve.
 SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options = {});
-
-/// Plain Gauss-Seidel iteration (used as a smoother and in tests as an
-/// independent cross-check of CG results). The true residual is checked
-/// every 10th sweep, on the final sweep, and whenever the per-sweep update
-/// stalls below the tolerance, so the reported iteration count is within
-/// one sweep of the detection point and never exceeds `max_iterations`.
-SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
-                          const SolverOptions& options = {});
 
 std::string to_string(const SolverResult& result);
 

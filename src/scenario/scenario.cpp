@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -74,7 +75,11 @@ const std::vector<FieldIo>& field_table() {
       // ph-lint: allow(serialization) integral field; integers round-trip exactly
       {"ring_case", [](const ScenarioSpec& s) { return std::to_string(s.design.ring_case_id); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.design.ring_case_id = static_cast<int>(parse_uint(v, "ring_case"));
+         const std::uint64_t id = parse_uint(v, "ring_case");
+         if (id > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+           throw SpecError("`" + trim(v) + "` is out of range for ring_case");
+         }
+         s.design.ring_case_id = static_cast<int>(id);
        }},
       {"p_vcsel", [](const ScenarioSpec& s) { return fmt(s.design.p_vcsel); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -285,14 +290,6 @@ std::vector<ScenarioSpec> load_scenario_file(const std::string& path,
   text << in.rdbuf();
   PH_REQUIRE(!in.bad(), "failed while reading scenario file: " + path);
   return parse_scenarios(text.str(), base);
-}
-
-void save_scenario_file(const std::string& path, const std::vector<ScenarioSpec>& scenarios) {
-  std::ofstream out(path);
-  PH_REQUIRE(out.good(), "cannot open scenario output file: " + path);
-  out << serialize_scenarios(scenarios);
-  out.flush();
-  PH_REQUIRE(out.good(), "failed while writing scenario file: " + path);
 }
 
 }  // namespace photherm::scenario

@@ -63,7 +63,4 @@ std::string serialize_scenarios(const std::vector<ScenarioSpec>& scenarios);
 std::vector<ScenarioSpec> load_scenario_file(const std::string& path,
                                              const core::OnocDesignSpec& base = {});
 
-/// Serialize + write a scenario file; throws photherm::Error on I/O failure.
-void save_scenario_file(const std::string& path, const std::vector<ScenarioSpec>& scenarios);
-
 }  // namespace photherm::scenario

@@ -1,7 +1,5 @@
 #include "thermal/fvm.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -121,13 +119,10 @@ bool has_fixing_bc(const BoundarySet& bcs) {
 /// neighbour toward +axis) and every non-adiabatic boundary face
 /// (`boundary(cell, g)`); rhs and capacitance are filled here.
 template <typename Emitter>
-void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
-                   const math::Vector* cell_conductivity, math::Vector& rhs,
+void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs, math::Vector& rhs,
                    math::Vector& capacitance, Emitter&& emit) {
   PH_REQUIRE(has_fixing_bc(bcs),
              "all-adiabatic boundary set: the steady-state problem is singular");
-  PH_REQUIRE(cell_conductivity == nullptr || cell_conductivity->size() == m.cell_count(),
-             "conductivity override must have one entry per cell");
 
   const std::size_t n = m.cell_count();
   const std::size_t nx = m.nx();
@@ -138,10 +133,7 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
   rhs.assign(n, 0.0);
   capacitance.assign(n, 0.0);
 
-  auto conductivity = [&](std::size_t cell) {
-    return cell_conductivity != nullptr ? (*cell_conductivity)[cell]
-                                        : lib.get(m.material(cell)).conductivity;
-  };
+  auto conductivity = [&](std::size_t cell) { return lib.get(m.material(cell)).conductivity; };
 
   for (std::size_t iz = 0; iz < nz; ++iz) {
     for (std::size_t iy = 0; iy < ny; ++iy) {
@@ -201,8 +193,7 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
 
 }  // namespace
 
-DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
-                        const math::Vector* cell_conductivity) {
+DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs) {
   const std::size_t n = m.cell_count();
   struct CsrEmitter {
     math::CsrBuilder builder;
@@ -217,12 +208,11 @@ DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
   emit.builder.reserve(7 * n);
   math::Vector rhs;
   math::Vector capacitance;
-  assemble_core(m, bcs, cell_conductivity, rhs, capacitance, emit);
+  assemble_core(m, bcs, rhs, capacitance, emit);
   return DiscreteSystem{emit.builder.build(), std::move(rhs), std::move(capacitance)};
 }
 
-StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs,
-                               const math::Vector* cell_conductivity) {
+StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs) {
   struct StencilEmitter {
     math::StencilOperator7 op;
     void pair(std::size_t cell, std::size_t nb, int axis, double g) {
@@ -237,7 +227,7 @@ StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs,
   } emit{math::StencilOperator7(m.nx(), m.ny(), m.nz())};
   math::Vector rhs;
   math::Vector capacitance;
-  assemble_core(m, bcs, cell_conductivity, rhs, capacitance, emit);
+  assemble_core(m, bcs, rhs, capacitance, emit);
   return StencilSystem{std::move(emit.op), std::move(rhs), std::move(capacitance)};
 }
 
@@ -250,13 +240,12 @@ namespace {
 /// Steady solve on whichever operator representation the options ask for.
 /// The warm-start contract of conjugate_gradient applies to `t` unchanged.
 math::SolverResult steady_solve(const RectilinearMesh& m, const BoundarySet& bcs,
-                                const math::Vector* cell_conductivity,
                                 const SteadyStateOptions& options, math::Vector& t) {
   if (options.operator_kind == OperatorKind::kStencil) {
-    StencilSystem system = assemble_stencil(m, bcs, cell_conductivity);
+    StencilSystem system = assemble_stencil(m, bcs);
     return math::conjugate_gradient(system.op, system.rhs, t, options.solver);
   }
-  DiscreteSystem system = assemble(m, bcs, cell_conductivity);
+  DiscreteSystem system = assemble(m, bcs);
   return math::conjugate_gradient(system.matrix, system.rhs, t, options.solver);
 }
 
@@ -266,7 +255,7 @@ ThermalField solve_steady_state(std::shared_ptr<const RectilinearMesh> mesh,
                                 const BoundarySet& bcs, const SteadyStateOptions& options) {
   PH_REQUIRE(mesh != nullptr, "solve_steady_state: null mesh");
   math::Vector t(mesh->cell_count(), 0.0);
-  const auto result = steady_solve(*mesh, bcs, nullptr, options, t);
+  const auto result = steady_solve(*mesh, bcs, options, t);
   PH_LOG_DEBUG << "steady-state solve: " << math::to_string(result);
   return ThermalField(std::move(mesh), std::move(t));
 }
@@ -275,47 +264,6 @@ ThermalField solve_steady_state(RectilinearMesh mesh, const BoundarySet& bcs,
                                 const SteadyStateOptions& options) {
   return solve_steady_state(std::make_shared<const RectilinearMesh>(std::move(mesh)), bcs,
                             options);
-}
-
-ThermalField solve_steady_state_nonlinear(std::shared_ptr<const RectilinearMesh> mesh,
-                                          const BoundarySet& bcs,
-                                          const NonlinearOptions& options) {
-  PH_REQUIRE(mesh != nullptr, "solve_steady_state_nonlinear: null mesh");
-  const RectilinearMesh& m = *mesh;
-  const auto& lib = m.materials_library();
-
-  bool any_nonlinear = false;
-  for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-    if (lib.get(m.material(cell)).conductivity_exponent != 0.0) {
-      any_nonlinear = true;
-      break;
-    }
-  }
-  if (!any_nonlinear) {
-    return solve_steady_state(std::move(mesh), bcs, options.linear);
-  }
-
-  // Picard iteration: k is evaluated at the previous temperature field.
-  ThermalField field = solve_steady_state(mesh, bcs, options.linear);
-  for (std::size_t iter = 0; iter < options.max_picard_iterations; ++iter) {
-    math::Vector k(m.cell_count());
-    const auto& t = field.temperatures();
-    for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-      k[cell] = lib.get(m.material(cell)).conductivity_at(t[cell]);
-    }
-    math::Vector next = t;  // warm start
-    steady_solve(m, bcs, &k, options.linear, next);
-    double max_change = 0.0;
-    for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-      max_change = std::max(max_change, std::abs(next[cell] - t[cell]));
-    }
-    field = ThermalField(mesh, std::move(next));
-    PH_LOG_DEBUG << "Picard iteration " << iter << ": max dT = " << max_change;
-    if (max_change <= options.temperature_tolerance) {
-      return field;
-    }
-  }
-  throw SolverError("nonlinear steady state did not converge within the Picard budget");
 }
 
 double boundary_heat_flow(const ThermalField& field, const BoundarySet& bcs) {

@@ -36,18 +36,14 @@ struct StencilSystem {
 /// Assemble the steady-state conduction system for `mesh` under `bcs`.
 /// Face conductance between two cells is the series combination of the
 /// half-cell resistances: G = A / (d1/(2 k1) + d2/(2 k2)).
-/// `cell_conductivity` (optional) overrides the material conductivity per
-/// cell — used by the nonlinear solver for temperature-dependent k(T).
-DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
-                        const math::Vector* cell_conductivity = nullptr);
+DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs);
 
 /// Assemble the same system straight into stencil form. Runs the identical
 /// face loop as assemble() (one shared implementation), so the operator
 /// matches the CSR one coefficient for coefficient; only the floating-point
 /// summation order of coincident contributions may differ (CsrBuilder sums
 /// duplicates in unspecified order), which keeps the two within a few ULP.
-StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
-                               const math::Vector* cell_conductivity = nullptr);
+StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs);
 
 /// Which operator representation the steady solves iterate on.
 enum class OperatorKind {
@@ -65,7 +61,7 @@ struct SteadyStateOptions {
   SteadyStateOptions() {
     solver.rel_tolerance = 1e-10;
     // CG tracks a recursive residual; after many iterations (and across the
-    // warm-started Picard / two-level restarts) the true ||b - A x|| can sit
+    // warm-started two-level restarts) the true ||b - A x|| can sit
     // slightly above the iteration's exit criterion. Accept up to 10x the
     // (already very tight) tolerance explicitly rather than failing solves
     // whose fields are converged far beyond the physics' needs.
@@ -87,20 +83,5 @@ ThermalField solve_steady_state(mesh::RectilinearMesh mesh, const BoundarySet& b
 /// [W]. At steady state this equals the injected power (energy balance);
 /// the validation tests assert it.
 double boundary_heat_flow(const ThermalField& field, const BoundarySet& bcs);
-
-struct NonlinearOptions {
-  SteadyStateOptions linear;
-  std::size_t max_picard_iterations = 30;
-  double temperature_tolerance = 1e-4;  ///< max |dT| between iterations [degC]
-};
-
-/// Steady state with temperature-dependent conductivities (materials with
-/// a non-zero `conductivity_exponent`, e.g. silicon ~T^-1.3): Picard
-/// iteration — evaluate k at the current field, reassemble, resolve, until
-/// the field stops moving. Falls back to a single linear solve when every
-/// material is temperature-independent.
-ThermalField solve_steady_state_nonlinear(std::shared_ptr<const mesh::RectilinearMesh> mesh,
-                                          const BoundarySet& bcs,
-                                          const NonlinearOptions& options = {});
 
 }  // namespace photherm::thermal

@@ -35,8 +35,8 @@ TransientSolver::TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> me
   PH_REQUIRE(options_.time_step > 0.0, "time step must be positive");
   rebuild_stepping();
   state_.assign(mesh_->cell_count(), 0.0);
-  // Separate injected power from boundary wall terms so set_power_scale /
-  // set_power throttle only the heat sources, not the ambient coupling.
+  // Separate injected power from boundary wall terms so set_power
+  // throttles only the heat sources, not the ambient coupling.
   power_.resize(mesh_->cell_count());
   bc_rhs_.resize(mesh_->cell_count());
   rhs_.resize(mesh_->cell_count());
@@ -79,7 +79,7 @@ const ThermalField& TransientSolver::step(const math::Vector& initial_guess) {
 
 void TransientSolver::update_rhs() {
   for (std::size_t i = 0; i < rhs_.size(); ++i) {
-    rhs_[i] = capacitance_over_dt_[i] * state_[i] + bc_rhs_[i] + power_scale_ * power_[i];
+    rhs_[i] = capacitance_over_dt_[i] * state_[i] + bc_rhs_[i] + power_[i];
   }
 }
 
@@ -135,11 +135,6 @@ void TransientSolver::rebuild_stepping() {
 void TransientSolver::set_time(double time) {
   PH_REQUIRE(time >= 0.0 && std::isfinite(time), "time must be non-negative and finite");
   time_ = time;
-}
-
-void TransientSolver::set_power_scale(double scale) {
-  PH_REQUIRE(scale >= 0.0, "power scale must be non-negative");
-  power_scale_ = scale;
 }
 
 void TransientSolver::set_power(const math::Vector& power) {

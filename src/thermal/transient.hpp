@@ -60,9 +60,8 @@ TransientStats operator+(const TransientStats& a, const TransientStats& b);
 /// Steps T(t) forward with backward Euler:
 ///   (C/dt + A) T_{n+1} = (C/dt) T_n + q.
 /// The operator (C/dt + A) is SPD, so CG applies. Power can be updated
-/// between steps — uniformly via set_power_scale or per cell via set_power;
-/// both only touch the right-hand side, so no reassembly or
-/// re-preconditioning happens between phases.
+/// between steps per cell via set_power; it only touches the right-hand
+/// side, so no reassembly or re-preconditioning happens between phases.
 class TransientSolver {
  public:
   TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> mesh, const BoundarySet& bcs,
@@ -90,18 +89,13 @@ class TransientSolver {
   /// Advance `n` steps; returns the final field.
   const ThermalField& advance(std::size_t n);
 
-  /// Scale all injected power uniformly (activity throttling); takes effect
-  /// on the next step. Composes with set_power: the scale applies to the
-  /// current injected-power vector.
-  void set_power_scale(double scale);
-
   /// Replace the injected power per cell [W] (size must match the mesh).
   /// Rhs-only, so phase changes cost nothing beyond the copy — the timeline
   /// engine swaps power vectors between schedule phases without touching
   /// the stepping matrix.
   void set_power(const math::Vector& power);
 
-  /// Injected power per cell currently applied (before power_scale).
+  /// Injected power per cell currently applied.
   const math::Vector& power() const { return power_; }
 
   /// Change the step size; takes effect on the next step. Rebuilds the
@@ -159,7 +153,6 @@ class TransientSolver {
   std::optional<ThermalField> field_;  ///< mirrors state_ (state() is a cheap ref)
   math::SolverResult last_solve_;
   TransientStats stats_;
-  double power_scale_ = 1.0;
   double time_ = 0.0;
 };
 

@@ -24,8 +24,9 @@ constexpr double kSettleNoiseMargin = 10.0;
 /// settle_tolerance that would require one is rejected outright.
 constexpr double kMinReferenceTolerance = 1e-15;
 
-/// Auto cap on adaptive growth when PlaybackOptions::max_time_step is 0.
-constexpr double kDefaultMaxGrowthFactor = 64.0;
+/// Adaptive growth never takes the step past this multiple of
+/// PlaybackOptions::time_step.
+constexpr double kMaxGrowthFactor = 64.0;
 
 /// Adaptive growth targets at least this per-step contraction of the
 /// distance to the steady reference: the step grows whenever one step
@@ -34,6 +35,11 @@ constexpr double kDefaultMaxGrowthFactor = 64.0;
 /// stable and the distance shrinks geometrically — settle in O(log)
 /// steps instead of O(horizon / dt).
 constexpr double kAdaptiveContraction = 0.5;
+
+/// Step multiplier per adaptive growth. Growth is attempted at period
+/// boundaries only, so the reassembly cost stays O(log) in the total
+/// growth factor.
+constexpr double kAdaptiveGrowth = 2.0;
 
 /// The field history holds one full period of fields plus the current one
 /// (same-phase prediction, periodic detection). Above this many doubles
@@ -57,9 +63,6 @@ double max_abs_delta(const math::Vector& a, const math::Vector& b) {
 void validate_options(const PlaybackOptions& options) {
   PH_REQUIRE(options.max_periods >= 1, "playback needs at least one period");
   PH_REQUIRE(options.settle_tolerance > 0.0, "settle tolerance must be positive");
-  PH_REQUIRE(options.adaptive_growth > 1.0, "adaptive growth factor must exceed 1");
-  PH_REQUIRE(options.periodic_hold_periods >= 1,
-             "periodic detection needs at least one held period");
 }
 
 }  // namespace
@@ -328,7 +331,7 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   const bool multi_scale = !constant_scale_;
   const bool fits = (spp + 1) * n <= kPeriodicBufferCap;
   const std::size_t period = multi_scale && fits ? spp : 1;  // P
-  periodic_enabled_ = options_.detect_periodic_steady && multi_scale && spp >= 2 && fits;
+  periodic_enabled_ = multi_scale && spp >= 2 && fits;
   if (multi_scale && !fits) {
     PH_LOG_DEBUG << "timeline `" << trace_.scenario << "`: periodic-steady detection and "
                  << "same-phase prediction disabled; one period of fields (" << spp + 1
@@ -354,10 +357,7 @@ void Playback::maybe_grow_dt() {
   if (last_step_delta_ > threshold) {
     return;
   }
-  const double cap = options_.max_time_step > 0.0
-                         ? options_.max_time_step
-                         : kDefaultMaxGrowthFactor * options_.time_step;
-  const double next = std::min(dt_ * options_.adaptive_growth, cap);
+  const double next = std::min(dt_ * kAdaptiveGrowth, kMaxGrowthFactor * options_.time_step);
   if (!(next > dt_)) {
     return;
   }
@@ -404,10 +404,9 @@ void Playback::update_periodic(const math::Vector& temperatures) {
   trace_.cycle_delta = cycle_max_delta_;
   cycle_hold_ = cycle_max_delta_ <= options_.settle_tolerance ? cycle_hold_ + 1 : 0;
   cycle_max_delta_ = 0.0;
-  if (!trace_.periodic_steady && cycle_hold_ >= options_.periodic_hold_periods) {
+  if (!trace_.periodic_steady && cycle_hold_ >= kPeriodicHoldPeriods) {
     trace_.periodic_steady = true;
-    trace_.periodic_steady_step =
-        trace_.step_count() - options_.periodic_hold_periods * spp;
+    trace_.periodic_steady_step = trace_.step_count() - kPeriodicHoldPeriods * spp;
     trace_.periodic_steady_time = trace_.times[trace_.periodic_steady_step];
   }
 }

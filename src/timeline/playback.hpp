@@ -99,23 +99,9 @@ struct PlaybackOptions {
   /// grow; 0 picks settle_tolerance / 4 (crawling relative to what
   /// "settled" means). Independent of the floor, the step also grows
   /// whenever one step covers less than half the remaining distance to
-  /// the steady reference, which keeps the approach geometric.
+  /// the steady reference, which keeps the approach geometric. Each growth
+  /// doubles the step, at a period boundary, up to 64 * time_step.
   double adaptive_threshold = 0.0;
-  /// Step multiplier per growth (> 1); growth is attempted at period
-  /// boundaries only, so the matrix reassembly cost stays O(log) in the
-  /// total growth factor.
-  double adaptive_growth = 2.0;
-  /// Largest step the adaptive scheme may reach [s]; 0 picks
-  /// 64 * time_step.
-  double max_time_step = 0.0;
-
-  /// Track the cycle-over-cycle delta and report periodic steady state for
-  /// oscillating schedules. Detection never changes the trace values; with
-  /// stop_on_settle it additionally ends the playback.
-  bool detect_periodic_steady = true;
-  /// Consecutive periods the cycle-over-cycle delta must stay below
-  /// settle_tolerance before periodic steady state latches.
-  std::size_t periodic_hold_periods = 2;
 
   /// Relative period-error bound handed to compile_timeline, and the bound
   /// adaptive growth must respect when re-quantizing a multi-scale
@@ -129,6 +115,12 @@ struct PlaybackOptions {
   /// the physics (`photherm_cli play --progress N`).
   std::size_t progress_every = 0;
 };
+
+/// Consecutive periods the cycle-over-cycle delta must stay below
+/// PlaybackOptions::settle_tolerance before periodic steady state latches.
+/// Detection runs for every oscillating schedule and never changes the
+/// trace values; with stop_on_settle it also ends the playback.
+inline constexpr std::size_t kPeriodicHoldPeriods = 2;
 
 /// Time series of one playback, index-aligned across its vectors: entry k
 /// describes step k (sampled at the *end* of the step, time (k+1) * dt).
@@ -149,7 +141,7 @@ struct TimelineTrace {
   double final_delta = 0.0;       ///< max |T - T_steady| at the last step
 
   /// Periodic-steady detection (oscillating schedules): the field repeats
-  /// cycle over cycle within settle_tolerance for periodic_hold_periods.
+  /// cycle over cycle within settle_tolerance for kPeriodicHoldPeriods.
   bool periodic_steady = false;
   double periodic_steady_time = -1.0;  ///< [s]; start of the first held period
   std::size_t periodic_steady_step = 0;

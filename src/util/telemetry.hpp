@@ -69,17 +69,14 @@ namespace photherm::telemetry {
   X(kPrecondJacobiBuilds, "precond.jacobi.builds")                     \
   X(kCgIterations, "solver.conjugate_gradient.iterations")             \
   X(kCgSolves, "solver.conjugate_gradient.solves")                     \
-  X(kGaussSeidelIterations, "solver.gauss_seidel.iterations")          \
-  X(kGaussSeidelSolves, "solver.gauss_seidel.solves")                  \
   X(kSpmvCsr, "spmv.csr")                                              \
   X(kSpmvStencil, "spmv.stencil")                                      \
   X(kTransientPreconditionerBuilds, "transient.preconditioner_builds") \
   X(kTransientReassemblies, "transient.reassemblies")                  \
   X(kTransientSteps, "transient.steps")
 
-#define PHOTHERM_TELEMETRY_GAUGES(X)                                       \
-  X(kCgRelativeResidual, "solver.conjugate_gradient.relative_residual")    \
-  X(kGaussSeidelRelativeResidual, "solver.gauss_seidel.relative_residual")
+#define PHOTHERM_TELEMETRY_GAUGES(X) \
+  X(kCgRelativeResidual, "solver.conjugate_gradient.relative_residual")
 
 #define PHOTHERM_TELEMETRY_TIMERS(X)                 \
   X(kBatchScenarioWall, "batch.scenario.wall")       \

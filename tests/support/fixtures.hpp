@@ -5,15 +5,18 @@
 /// every test file.
 #pragma once
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/design_space.hpp"
 #include "geometry/stack.hpp"
 #include "math/stencil_operator.hpp"
 #include "mesh/mesh.hpp"
+#include "thermal/bc.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,12 +56,38 @@ inline mesh::MeshOptions uniform_mesh_options(double cell_xy,
   return options;
 }
 
-/// Build a shared-ownership mesh, as consumed by the transient/nonlinear
-/// solvers and ThermalField.
+/// Build a shared-ownership mesh, as consumed by the transient solver and
+/// ThermalField.
 inline std::shared_ptr<const mesh::RectilinearMesh> shared_mesh(
     const geometry::Scene& scene, const mesh::MeshOptions& options) {
   return std::make_shared<const mesh::RectilinearMesh>(
       mesh::RectilinearMesh::build(scene, options));
+}
+
+/// 1 mm x 1 mm x 200 um silicon slab with an off-centre 0.5 W heater
+/// block: the block's edges insert mesh ticks, so the x/y axes are
+/// genuinely non-uniform; a `cell_z` cap splits the slab into z layers.
+inline mesh::RectilinearMesh heated_mesh(double cell_xy, double cell_z) {
+  const double a = 1e-3;
+  const double t = 200e-6;
+  geometry::Scene scene = uniform_slab(a, t);
+  add_heater(scene, geometry::Box3::make({0.3e-3, 0.45e-3, 0.0}, {0.75e-3, 0.8e-3, t}), 0.5);
+  return mesh::RectilinearMesh::build(scene, uniform_mesh_options(cell_xy, cell_z));
+}
+
+/// Every face non-adiabatic, mixing all three fixing BC kinds.
+inline thermal::BoundarySet all_faces_bcs() {
+  using thermal::Face;
+  using thermal::FaceBc;
+  thermal::BoundarySet bcs;
+  bcs[Face::kXMin] = FaceBc::convection(500.0, 30.0);
+  bcs[Face::kXMax] = FaceBc::dirichlet(45.0);
+  bcs[Face::kYMin] =
+      FaceBc::dirichlet_field([](const geometry::Vec3& p) { return 25.0 + 1e4 * p.x; });
+  bcs[Face::kYMax] = FaceBc::convection(2e3, 22.0);
+  bcs[Face::kZMin] = FaceBc::convection(1e3, 25.0);
+  bcs[Face::kZMax] = FaceBc::dirichlet(60.0);
+  return bcs;
 }
 
 /// Coarse ONoC design spec for integration-speed tests: small ring case,
@@ -104,6 +133,49 @@ inline math::StencilOperator7 diagonally_dominant_stencil(std::size_t nx, std::s
                    op.north()[i] - lower(op.up(), i, sz) - op.up()[i];
   }
   return op;
+}
+
+/// Reference solution of A x = b: the dense matrix is read off A applied
+/// to each unit vector, then eliminated with partial pivoting. Shares no
+/// code with CG, CSR or any preconditioner; O(n^3), so small systems only.
+inline math::Vector dense_solve(const math::LinearOperator& a, const math::Vector& b) {
+  const std::size_t n = a.rows();
+  std::vector<math::Vector> m(n, math::Vector(n + 1, 0.0));  // rows of [A | b]
+  math::Vector unit(n, 0.0);
+  math::Vector column;
+  for (std::size_t j = 0; j < n; ++j) {
+    unit[j] = 1.0;
+    a.apply(unit, column);
+    unit[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      m[i][j] = column[i];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i][n] = b[i];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t pivot = k;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      pivot = std::abs(m[i][k]) > std::abs(m[pivot][k]) ? i : pivot;
+    }
+    std::swap(m[k], m[pivot]);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double factor = m[i][k] / m[k][k];
+      for (std::size_t j = k; j <= n; ++j) {
+        m[i][j] -= factor * m[k][j];
+      }
+    }
+  }
+  math::Vector x(n);
+  for (std::size_t i = n; i-- > 0;) {
+    double acc = m[i][n];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      acc -= m[i][j] * x[j];
+    }
+    x[i] = acc / m[i][i];
+  }
+  return x;
 }
 
 /// True when the two vectors hold the same doubles bit for bit (unlike ==,

@@ -137,6 +137,14 @@ TEST(ScenarioSpec, ParserReportsActionableErrors) {
   EXPECT_THROW(scenario::parse_scenarios("scenario a\nchip_power = 1e999\n"), SpecError);
   EXPECT_THROW(scenario::parse_scenarios("scenario a\nseed = 99999999999999999999\n"),
                SpecError);
+  // A ring case that does not fit an int is refused, not wrapped to 1.
+  try {
+    scenario::parse_scenarios("scenario a\nring_case = 4294967297\n");
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("ring_case"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ScenarioSpec, CommentsAndBaseDefaultsApply) {

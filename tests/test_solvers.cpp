@@ -6,6 +6,7 @@
 #include <string>
 
 #include "support/fixtures.hpp"
+#include "thermal/fvm.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
@@ -80,18 +81,19 @@ TEST(Solvers, ZeroRhsGivesZeroSolution) {
   }
 }
 
-TEST(Solvers, GaussSeidelAgreesWithCg) {
-  const std::size_t n = 60;
-  const CsrMatrix a = laplacian(n);
-  Vector b(n, 1.0);
-  Vector x_cg, x_gs;
-  conjugate_gradient(a, b, x_cg);
-  SolverOptions options;
-  options.rel_tolerance = 1e-10;
-  options.max_iterations = 500000;
-  gauss_seidel(a, b, x_gs, options);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x_gs[i], x_cg[i], 1e-5);
+/// CG against an independent reference: the steady solve of a small
+/// non-uniform mesh with every face non-adiabatic must match a dense
+/// direct solve of the same assembled system.
+TEST(Solvers, CgAgreesWithADenseDirectSolve) {
+  const mesh::RectilinearMesh mesh = fixtures::heated_mesh(120e-6, 70e-6);
+  ASSERT_EQ(mesh.cell_count(), 270u);
+  const thermal::BoundarySet bcs = fixtures::all_faces_bcs();
+  const thermal::StencilSystem system = thermal::assemble_stencil(mesh, bcs);
+  const Vector reference = fixtures::dense_solve(system.op, system.rhs);
+  const Vector cg = thermal::solve_steady_state(mesh, bcs).temperatures();
+  ASSERT_EQ(cg.size(), reference.size());
+  for (std::size_t i = 0; i < cg.size(); ++i) {
+    EXPECT_NEAR(cg[i], reference[i], 1e-7) << "cell " << i;
   }
 }
 
@@ -135,10 +137,10 @@ TEST(Solvers, CgNamesAnOverflowAsAnOverflow) {
 /// A NaN, negative or zero tolerance used to iterate until the residual
 /// underflowed and then surface as an overflow breakdown or a failure to
 /// converge, and an out-of-range slack was caught only after the whole
-/// solve. Both must be named before any work.
+/// solve. Both must be named before any work, by both CG overloads.
 TEST(Solvers, InvalidOptionsAreNamedBeforeIterating) {
   const StencilOperator7 a = fixtures::diagonally_dominant_stencil(20, 20, 20, 29);
-  const CsrMatrix a_csr = a.to_csr();
+  const StencilIlu0Preconditioner precond(a);
   const Vector b(a.rows(), 1.0);
   const auto expect_named = [](const auto& solve, const std::string& option) {
     try {
@@ -162,7 +164,7 @@ TEST(Solvers, InvalidOptionsAreNamedBeforeIterating) {
     expect_named(
         [&] {
           Vector x;
-          gauss_seidel(a_csr, b, x, options);
+          conjugate_gradient(a, b, x, precond, options);
         },
         option);
   };
@@ -303,15 +305,6 @@ TEST(Solvers, WrongSizedWarmStartIsResetToZero) {
   const SolverResult undersized_result = conjugate_gradient(a, b, undersized);
   EXPECT_EQ(undersized_result.iterations, cold_result.iterations);
   EXPECT_EQ(undersized, cold);
-
-  // Same contract for Gauss-Seidel.
-  Vector gs_cold, gs_stale(n + 5, -1e12);
-  SolverOptions gs_options;
-  gs_options.rel_tolerance = 1e-8;
-  gs_options.max_iterations = 500000;
-  gauss_seidel(a, b, gs_cold, gs_options);
-  gauss_seidel(a, b, gs_stale, gs_options);
-  EXPECT_EQ(gs_stale, gs_cold);
 }
 
 /// A correctly sized vector IS the initial guess (documented warm-start
@@ -329,53 +322,6 @@ TEST(Solvers, CorrectlySizedVectorIsUsedAsGuess) {
   const SolverResult result = conjugate_gradient(a, b, x);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0u);
-}
-
-/// Gauss-Seidel used to check the true residual only every 10th sweep, so
-/// it could run up to 9 sweeps past convergence and report the inflated
-/// count. The reported count must now be minimal: re-running with exactly
-/// that budget converges, with a couple fewer sweeps it does not.
-TEST(Solvers, GaussSeidelReportsMinimalIterationCount) {
-  const std::size_t n = 40;
-  const CsrMatrix a = laplacian(n);
-  const Vector b(n, 1.0);
-  SolverOptions options;
-  options.rel_tolerance = 1e-8;
-  options.max_iterations = 500000;
-  Vector x;
-  const SolverResult result = gauss_seidel(a, b, x, options);
-  ASSERT_TRUE(result.converged);
-  ASSERT_GT(result.iterations, 20u);  // slow enough to be meaningful
-  EXPECT_LE(result.iterations, options.max_iterations);
-
-  // Exactly the reported budget: converges.
-  options.max_iterations = result.iterations;
-  Vector x_exact;
-  EXPECT_TRUE(gauss_seidel(a, b, x_exact, options).converged);
-
-  // Two sweeps fewer: must fall short (GS on the Laplacian converges
-  // slowly, so the residual cannot jump below tol two sweeps early).
-  options.max_iterations = result.iterations - 2;
-  options.throw_on_failure = false;
-  Vector x_short;
-  EXPECT_FALSE(gauss_seidel(a, b, x_short, options).converged);
-}
-
-/// The sweep budget is respected exactly and the reported count is clamped
-/// to it, even when `max_iterations` is not a multiple of the periodic
-/// residual-check interval.
-TEST(Solvers, GaussSeidelRespectsMaxIterationsBudget) {
-  const std::size_t n = 60;
-  const CsrMatrix a = laplacian(n);
-  const Vector b(n, 1.0);
-  SolverOptions options;
-  options.rel_tolerance = 1e-12;
-  options.max_iterations = 17;  // not a multiple of 10
-  options.throw_on_failure = false;
-  Vector x;
-  const SolverResult result = gauss_seidel(a, b, x, options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.iterations, 17u);
 }
 
 // --- Preconditioner hazard regressions. -------------------------------------

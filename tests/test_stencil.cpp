@@ -28,7 +28,9 @@ namespace photherm::math {
 namespace {
 
 using fixtures::add_heater;
+using fixtures::all_faces_bcs;
 using fixtures::diagonally_dominant_stencil;
+using fixtures::heated_mesh;
 using fixtures::same_bytes;
 using fixtures::ScopedConcurrency;
 using fixtures::uniform_mesh_options;
@@ -45,30 +47,6 @@ Vector random_vector(std::size_t n, std::uint64_t seed) {
     x = rng.uniform(-1.0, 1.0);
   }
   return v;
-}
-
-/// Slab with an off-centre heater block: the block's edges insert mesh
-/// ticks, so the x/y axes are genuinely non-uniform; two z layers via an
-/// explicit cell cap make z non-uniform as well.
-mesh::RectilinearMesh heated_mesh(double cell_xy, double cell_z) {
-  const double a = 1e-3;
-  const double t = 200e-6;
-  geometry::Scene scene = uniform_slab(a, t);
-  add_heater(scene, Box3::make({0.3e-3, 0.45e-3, 0.0}, {0.75e-3, 0.8e-3, t}), 0.5);
-  return mesh::RectilinearMesh::build(scene, uniform_mesh_options(cell_xy, cell_z));
-}
-
-/// Every face non-adiabatic, mixing all three fixing BC kinds.
-BoundarySet all_faces_bcs() {
-  BoundarySet bcs;
-  bcs[Face::kXMin] = FaceBc::convection(500.0, 30.0);
-  bcs[Face::kXMax] = FaceBc::dirichlet(45.0);
-  bcs[Face::kYMin] = FaceBc::dirichlet_field(
-      [](const geometry::Vec3& p) { return 25.0 + 1e4 * p.x; });
-  bcs[Face::kYMax] = FaceBc::convection(2e3, 22.0);
-  bcs[Face::kZMin] = FaceBc::convection(1e3, 25.0);
-  bcs[Face::kZMax] = FaceBc::dirichlet(60.0);
-  return bcs;
 }
 
 /// The couplings of each row to the cell `stride` rows below it: the

@@ -279,13 +279,13 @@ TEST_F(TelemetryTest, CountersAccumulateAcrossPoolWorkers) {
     for (std::size_t i = begin; i < end; ++i) {
       Span span("worker.chunk");
       count(Counter::kTransientSteps);
-      gauge(Gauge::kGaussSeidelRelativeResidual, static_cast<double>(i));
+      gauge(Gauge::kCgRelativeResidual, static_cast<double>(i));
     }
   });
   const auto rows = metrics_by_name();
   const auto& steps = rows.at("transient.steps");
   EXPECT_EQ(steps[3], "64");
-  const auto& value = rows.at("solver.gauss_seidel.relative_residual");
+  const auto& value = rows.at("solver.conjugate_gradient.relative_residual");
   EXPECT_EQ(value[2], "64");
   EXPECT_EQ(value[4], "0");   // min over 0..63
   EXPECT_EQ(value[5], "63");  // max over 0..63

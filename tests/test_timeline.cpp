@@ -505,8 +505,7 @@ TEST(TimelinePeriodic, FiresOnABurstAndNeverOnARamp) {
   EXPECT_LT(trace.step_count(), 2u * options.max_periods);
   // The playback stopped exactly at the period end that latched the
   // verdict: the held periods (spp == 2) sit at the end of the trace.
-  EXPECT_EQ(trace.step_count(),
-            trace.periodic_steady_step + options.periodic_hold_periods * 2u);
+  EXPECT_EQ(trace.step_count(), trace.periodic_steady_step + timeline::kPeriodicHoldPeriods * 2u);
 
   // A ramp (constant schedule) that has not converged must never report a
   // repeating cycle — its shrinking per-step delta is slow convergence,

@@ -79,7 +79,7 @@ TEST(Transient, CoolingAfterPowerOff) {
   options.time_step = 2e-3;
   TransientSolver solver(rig.mesh, rig.bcs, options);
   solver.set_state(solve_steady_state(rig.mesh, rig.bcs));
-  solver.set_power_scale(0.0);
+  solver.set_power(math::Vector(solver.power().size(), 0.0));
   const double hot = solver.state().global_max();
   const double after = solver.advance(50).global_max();
   EXPECT_LT(after, hot);
@@ -94,7 +94,11 @@ TEST(Transient, PowerScaleHalvesEquilibriumRise) {
   full.set_uniform_state(25.0);
   TransientSolver half(rig.mesh, rig.bcs, options);
   half.set_uniform_state(25.0);
-  half.set_power_scale(0.5);
+  math::Vector halved = half.power();
+  for (double& p : halved) {
+    p *= 0.5;
+  }
+  half.set_power(halved);
   const double rise_full = full.advance(300).global_max() - 25.0;
   const double rise_half = half.advance(300).global_max() - 25.0;
   EXPECT_NEAR(rise_half, rise_full / 2.0, 0.02 * rise_full);
@@ -153,31 +157,6 @@ TEST(Transient, WarmStartCutsIterationsAndAgreesWithColdStart) {
   EXPECT_NEAR(warm_field.global_min(), cold_field.global_min(), 1e-6);
 }
 
-TEST(Transient, SetPowerMatchesPowerScale) {
-  Rig rig = make_rig(0.5);
-  TransientOptions options;
-  options.time_step = 2e-3;
-
-  TransientSolver scaled(rig.mesh, rig.bcs, options);
-  scaled.set_uniform_state(25.0);
-  scaled.set_power_scale(0.5);
-
-  TransientSolver replaced(rig.mesh, rig.bcs, options);
-  replaced.set_uniform_state(25.0);
-  math::Vector halved = replaced.power();
-  for (double& p : halved) {
-    p *= 0.5;
-  }
-  replaced.set_power(halved);
-
-  // Same rhs either way, so the trajectories are bit-identical.
-  for (int step = 0; step < 5; ++step) {
-    const ThermalField& a = scaled.step();
-    const ThermalField& b = replaced.step();
-    ASSERT_EQ(a.temperatures(), b.temperatures()) << "step " << step;
-  }
-}
-
 TEST(Transient, SetPowerValidatesTheSize) {
   Rig rig = make_rig(0.5);
   TransientSolver solver(rig.mesh, rig.bcs, {});
@@ -218,7 +197,6 @@ TEST(Transient, Validation) {
   EXPECT_THROW(TransientSolver(rig.mesh, rig.bcs, options), Error);
   options.time_step = 1e-3;
   TransientSolver solver(rig.mesh, rig.bcs, options);
-  EXPECT_THROW(solver.set_power_scale(-1.0), Error);
   EXPECT_THROW(solver.advance(0), Error);
   EXPECT_THROW(solver.set_time_step(0.0), Error);
   EXPECT_THROW(solver.set_time(-1.0), Error);

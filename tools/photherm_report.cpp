@@ -756,15 +756,13 @@ void summarize_metrics(const Artifact& artifact, std::size_t top) {
   }
 
   // Derived solver economics: the first question a report answers.
-  for (const std::string solver : {"conjugate_gradient", "gauss_seidel"}) {
-    const auto solves = artifact.metrics.find("solver." + solver + ".solves");
-    const auto iters = artifact.metrics.find("solver." + solver + ".iterations");
-    if (solves != artifact.metrics.end() && iters != artifact.metrics.end() &&
-        solves->second.total > 0.0) {
-      std::cout << "solver." << solver << ": " << iters->second.total << " iterations / "
-                << solves->second.total << " solves = "
-                << iters->second.total / solves->second.total << " iters/solve\n";
-    }
+  const auto solves = artifact.metrics.find("solver.conjugate_gradient.solves");
+  const auto iters = artifact.metrics.find("solver.conjugate_gradient.iterations");
+  if (solves != artifact.metrics.end() && iters != artifact.metrics.end() &&
+      solves->second.total > 0.0) {
+    std::cout << "solver.conjugate_gradient: " << iters->second.total << " iterations / "
+              << solves->second.total << " solves = "
+              << iters->second.total / solves->second.total << " iters/solve\n";
   }
 
   // Timers by total wall, slowest first; durations are nanoseconds in the
