@@ -20,8 +20,7 @@ std::vector<double> linspace(double lo, double hi, std::size_t count) {
 
 std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& base,
                                                         const std::vector<double>& p_chip,
-                                                        const std::vector<double>& p_vcsel,
-                                                        const SweepOptions& sweep) {
+                                                        const std::vector<double>& p_vcsel) {
   PH_REQUIRE(!p_chip.empty() && !p_vcsel.empty(), "empty sweep axes");
   const std::size_t grid = p_chip.size() * p_vcsel.size();
   std::vector<AvgTemperaturePoint> out(grid);
@@ -35,12 +34,9 @@ std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& ba
       spec.chip_power = chip;
       spec.p_vcsel = vcsel;
       // Representative ONI: reuse the heater-sweep helper's convention
-      // (most central interface) by sweeping a single ratio. The solver
-      // override rides along; the helper's own region runs inline on this
-      // worker.
-      SweepOptions inner;
-      inner.solver = sweep.solver;
-      const auto point = explore_heater_ratios(spec, {spec.heater_ratio}, inner).front();
+      // (most central interface) by sweeping a single ratio. The helper's
+      // own region runs inline on this worker.
+      const auto point = explore_heater_ratios(spec, {spec.heater_ratio}).front();
       AvgTemperaturePoint row;
       row.p_chip = chip;
       row.p_vcsel = vcsel;
@@ -58,8 +54,7 @@ std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& ba
 
 std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
                                      const std::vector<int>& ring_cases,
-                                     const std::vector<power::ActivityKind>& activities,
-                                     const SweepOptions& sweep) {
+                                     const std::vector<power::ActivityKind>& activities) {
   PH_REQUIRE(!ring_cases.empty() && !activities.empty(), "empty sweep axes");
   const std::size_t grid = ring_cases.size() * activities.size();
   std::vector<SnrSweepPoint> out(grid);
@@ -71,11 +66,7 @@ std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
       spec.placement = OniPlacementMode::kRing;
       spec.ring_case_id = rc;
       spec.activity = activity;
-      ThermalAwareDesigner designer(spec);
-      if (sweep.solver) {
-        designer.set_steady_options(*sweep.solver);
-      }
-      const DesignReport report = designer.run();
+      const DesignReport report = ThermalAwareDesigner(spec).run();
       PH_REQUIRE(report.snr.has_value(), "ring run must produce an SNR report");
 
       SnrSweepPoint row;

@@ -28,8 +28,7 @@ struct AvgTemperaturePoint {
 /// order, bit-identical across thread counts.
 std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& base,
                                                         const std::vector<double>& p_chip,
-                                                        const std::vector<double>& p_vcsel,
-                                                        const SweepOptions& sweep = {});
+                                                        const std::vector<double>& p_vcsel);
 
 /// One row of the Fig. 12 sweep.
 struct SnrSweepPoint {
@@ -49,7 +48,6 @@ struct SnrSweepPoint {
 /// count.
 std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
                                      const std::vector<int>& ring_cases,
-                                     const std::vector<power::ActivityKind>& activities,
-                                     const SweepOptions& sweep = {});
+                                     const std::vector<power::ActivityKind>& activities);
 
 }  // namespace photherm::core

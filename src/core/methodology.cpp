@@ -105,9 +105,6 @@ thermal::TwoLevelOptions ThermalAwareDesigner::two_level_options() const {
   options.local_mesh.default_max_cell_xy = 25e-6;
   options.local_mesh.min_feature_size_xy = 0.0;
   options.window_margin = spec_.window_margin;
-  if (steady_override_) {
-    options.solver = *steady_override_;
-  }
   return options;
 }
 
@@ -172,15 +169,8 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
   num(options.global_mesh.min_feature_size_xy);
 
   // The thread budget is deliberately excluded: results are bit-identical
-  // for every thread count (thread_pool.hpp contract).
-  const math::SolverOptions& solver = options.solver.solver;
-  os << "solver:" << solver.max_iterations << '|' << static_cast<int>(solver.preconditioner)
-     << '|' << static_cast<int>(options.solver.operator_kind) << '|'
-     << solver.chebyshev.degree << '|';
-  num(solver.chebyshev.eig_ratio);
-  num(solver.rel_tolerance);
-  num(solver.convergence_slack);
-
+  // for every thread count (thread_pool.hpp contract). So are the solver
+  // options: every designer solves with the default SteadyStateOptions.
   os << "scene:";
   const geometry::MaterialLibrary& materials = system.scene.materials();
   for (const geometry::Block& block : system.scene.blocks()) {
@@ -223,7 +213,7 @@ CoarseGlobalSolve ThermalAwareDesigner::solve_global() const {
   auto global_mesh = std::make_shared<const mesh::RectilinearMesh>(
       mesh::RectilinearMesh::build(system.scene, options.global_mesh));
   thermal::ThermalField field =
-      thermal::solve_steady_state(std::move(global_mesh), boundary_conditions(), options.solver);
+      thermal::solve_steady_state(std::move(global_mesh), boundary_conditions());
   return CoarseGlobalSolve{std::move(system), std::move(key), std::move(field)};
 }
 
@@ -354,8 +344,7 @@ DesignReport ThermalAwareDesigner::run(const CoarseGlobalSolve& global) const {
 }
 
 std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
-                                                    const std::vector<double>& ratios,
-                                                    const SweepOptions& sweep_options) {
+                                                    const std::vector<double>& ratios) {
   PH_REQUIRE(!ratios.empty(), "no heater ratios to explore");
   std::vector<HeaterSweepPoint> sweep(ratios.size());
 
@@ -382,11 +371,7 @@ std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
     for (std::size_t idx = begin; idx < end; ++idx) {
       OnocDesignSpec spec = base;
       spec.heater_ratio = ratios[idx];
-      ThermalAwareDesigner designer(spec);
-      if (sweep_options.solver) {
-        designer.set_steady_options(*sweep_options.solver);
-      }
-      const ThermalReport thermal = designer.evaluate_thermal(representative);
+      const ThermalReport thermal = ThermalAwareDesigner(spec).evaluate_thermal(representative);
       HeaterSweepPoint point;
       point.heater_ratio = ratios[idx];
       point.p_heater = spec.p_heater();

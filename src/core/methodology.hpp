@@ -17,19 +17,6 @@
 
 namespace photherm::core {
 
-/// Options shared by the design-space sweep engines. Scenario solves of a
-/// sweep are independent, so they dispatch onto the shared thread pool
-/// (util/thread_pool.hpp) within the util::concurrency() budget and are
-/// collected in index order: results are bit-identical for every thread
-/// count, including 1.
-struct SweepOptions {
-  /// Steady-state solver override applied to every designer the sweep
-  /// builds (operator kind, preconditioner, tolerances). Unset keeps the
-  /// defaults. Enters the global-scene cache key, so sweeps run with
-  /// different solver settings never share cached fields.
-  std::optional<thermal::SteadyStateOptions> solver;
-};
-
 /// Thermal summary of one ONI.
 struct OniThermalReport {
   int oni = 0;
@@ -94,14 +81,6 @@ class ThermalAwareDesigner {
 
   const OnocDesignSpec& spec() const { return spec_; }
 
-  /// Override the steady-state solver options used by every solve this
-  /// designer runs (global pass and local windows). The override enters
-  /// global_scene_key(), so cached coarse solves are never shared across
-  /// different solver settings.
-  void set_steady_options(const thermal::SteadyStateOptions& options) {
-    steady_override_ = options;
-  }
-
   /// Build the 3-D system (scene + ONIs) for the current spec.
   soc::SccSystem build_system() const;
 
@@ -116,11 +95,12 @@ class ThermalAwareDesigner {
 
   /// Deterministic serialization of everything the coarse global solve
   /// depends on: scene blocks with material properties, boundary
-  /// conditions, global mesh options and solver options. Two specs with
-  /// equal keys produce bit-identical global fields (and identical
-  /// systems), so the key is safe to use as a solve-cache key. Local-only
-  /// knobs (oni_cell_*, window_margin) and SNR knobs (fanout, waveguides,
-  /// wdm_channels, tech) deliberately do not enter the key.
+  /// conditions and global mesh options (every designer solves with the
+  /// default thermal::SteadyStateOptions). Two specs with equal keys
+  /// produce bit-identical global fields (and identical systems), so the
+  /// key is safe to use as a solve-cache key. Local-only knobs (oni_cell_*,
+  /// window_margin) and SNR knobs (fanout, waveguides, wdm_channels, tech)
+  /// deliberately do not enter the key.
   std::string global_scene_key() const;
 
   /// Run the coarse global pass: build the system and solve the
@@ -160,12 +140,13 @@ class ThermalAwareDesigner {
                                        const thermal::ThermalField& global_field) const;
 
   OnocDesignSpec spec_;
-  std::optional<thermal::SteadyStateOptions> steady_override_;
 };
 
 /// Explore heater ratios and return (ratio, worst gradient, average) rows —
 /// the Fig. 9-b / Fig. 10 experiment in library form. The gradient is
-/// evaluated on the representative ONI closest to the die centre.
+/// evaluated on the representative ONI closest to the die centre. Ratios
+/// are solved concurrently within the util::concurrency() budget and
+/// returned in input order, bit-identical across thread counts.
 struct HeaterSweepPoint {
   double heater_ratio = 0.0;
   double p_heater = 0.0;       ///< [W]
@@ -174,8 +155,7 @@ struct HeaterSweepPoint {
 };
 
 std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
-                                                    const std::vector<double>& ratios,
-                                                    const SweepOptions& sweep = {});
+                                                    const std::vector<double>& ratios);
 
 /// Pick the sweep point with the smallest gradient.
 const HeaterSweepPoint& best_heater_point(const std::vector<HeaterSweepPoint>& sweep);

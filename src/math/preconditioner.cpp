@@ -39,23 +39,6 @@ Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
   return inv_diag;
 }
 
-/// Elementwise z[i] = r[i] * d[i], threaded chunk-ordered like the vector
-/// kernels (serial below kSerialCutoff): a serial diagonal scale inside an
-/// otherwise-threaded CG iteration would be the one unthreaded stage.
-void scaled_copy(const Vector& r, const Vector& d, Vector& z) {
-  z.resize(r.size());
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      z[i] = r[i] * d[i];
-    }
-  };
-  if (r.size() < util::kSerialCutoff) {
-    body(0, r.size());
-    return;
-  }
-  util::parallel_for(r.size(), util::kKernelGrain, body);
-}
-
 /// Each row's coupling to the cell `stride` rows below it: the +axis
 /// coupling stream `upper` of a StencilOperator7, which stores each face
 /// once, shifted by `stride`, and zero where the vector has no such cell.
@@ -230,27 +213,13 @@ const CsrMatrix& csr_form(const LinearOperator& a) {
   const auto* csr = dynamic_cast<const CsrMatrix*>(&a);
   if (csr == nullptr) {
     throw Error(
-        "ilu0 preconditioning needs a StencilOperator7 or explicit CSR sparsity; identity, "
-        "jacobi and chebyshev build on any operator");
+        "ilu0 preconditioning needs a StencilOperator7 or explicit CSR sparsity; chebyshev "
+        "builds on any operator");
   }
   return *csr;
 }
 
 }  // namespace
-
-void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
-  telemetry::count(telemetry::Counter::kPrecondIdentityApplies);
-  z = r;
-}
-
-JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
-    : inv_diag_(checked_inverse_diagonal(a, "Jacobi preconditioner")) {}
-
-void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
-  PH_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
-  telemetry::count(telemetry::Counter::kPrecondJacobiApplies);
-  scaled_copy(r, inv_diag_, z);
-}
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
     : row_ptr_(a.row_ptr()), col_idx_(a.col_idx()), values_(a.values()), n_(a.rows()) {
@@ -511,10 +480,6 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
 
 const char* to_string(PreconditionerKind kind) {
   switch (kind) {
-    case PreconditionerKind::kIdentity:
-      return "identity";
-    case PreconditionerKind::kJacobi:
-      return "jacobi";
     case PreconditionerKind::kIlu0:
       return "ilu0";
     case PreconditionerKind::kChebyshev:
@@ -524,14 +489,12 @@ const char* to_string(PreconditionerKind kind) {
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
-  for (PreconditionerKind kind : {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi,
-                                  PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
+  for (PreconditionerKind kind : {PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
     if (name == to_string(kind)) {
       return kind;
     }
   }
-  throw Error("unknown preconditioner `" + name +
-              "` (expected identity, jacobi, ilu0 or chebyshev)");
+  throw Error("unknown preconditioner `" + name + "` (expected ilu0 or chebyshev)");
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
@@ -539,12 +502,6 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const ChebyshevSettings& chebyshev) {
   telemetry::Span span("precond.build", to_string(kind));
   switch (kind) {
-    case PreconditionerKind::kIdentity:
-      telemetry::count(telemetry::Counter::kPrecondIdentityBuilds);
-      return std::make_unique<IdentityPreconditioner>();
-    case PreconditionerKind::kJacobi:
-      telemetry::count(telemetry::Counter::kPrecondJacobiBuilds);
-      return std::make_unique<JacobiPreconditioner>(a);
     case PreconditionerKind::kChebyshev:
       telemetry::count(telemetry::Counter::kPrecondChebyshevBuilds);
       return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);

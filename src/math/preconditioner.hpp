@@ -1,7 +1,7 @@
 /// \file preconditioner.hpp
-/// \brief Preconditioners for the Krylov solvers: Jacobi, zero-fill ILU
-/// with relaxed pivots — on CSR sparsity or natively on the 7-point stencil
-/// — and a fixed-degree Chebyshev polynomial. The FVM conduction matrix is
+/// \brief Preconditioners for the Krylov solvers: zero-fill ILU with
+/// relaxed pivots — on CSR sparsity or natively on the 7-point stencil —
+/// and a fixed-degree Chebyshev polynomial. The FVM conduction matrix is
 /// an SPD M-matrix, so the factor exists and is stable without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
@@ -27,28 +27,12 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   /// Threads within the util::concurrency() budget; results are
-  /// bit-identical at every thread count. The elementwise (Jacobi) and
-  /// SpMV-based (Chebyshev) applies thread chunk-ordered, and the stencil
-  /// ILU(0) pipelines its triangular sweeps across y-bands of the grid
-  /// (see StencilIlu0Preconditioner). The CSR ILU(0) triangular solves run
+  /// bit-identical at every thread count. The SpMV-based Chebyshev apply
+  /// threads chunk-ordered, and the stencil ILU(0) pipelines its
+  /// triangular sweeps across y-bands of the grid (see
+  /// StencilIlu0Preconditioner). The CSR ILU(0) triangular solves run
   /// serially in natural row order.
   virtual void apply(const Vector& r, Vector& z) const = 0;
-};
-
-/// Identity (no preconditioning).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(const Vector& r, Vector& z) const override;
-};
-
-/// Diagonal scaling.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const LinearOperator& a);
-  void apply(const Vector& r, Vector& z) const override;
-
- private:
-  Vector inv_diag_;
 };
 
 /// Relaxation factor of the zero-fill factor behind PreconditionerKind::kIlu0
@@ -180,14 +164,14 @@ class ChebyshevPreconditioner final : public Preconditioner {
   double lambda_min_ = 0.0;
 };
 
-enum class PreconditionerKind { kIdentity, kJacobi, kIlu0, kChebyshev };
+enum class PreconditionerKind { kIlu0, kChebyshev };
 
 const char* to_string(PreconditionerKind kind);
 PreconditionerKind preconditioner_kind_from_string(const std::string& name);
 
-/// Build a preconditioner of `kind` for `a`. Every kind builds on a
+/// Build a preconditioner of `kind` for `a`. Both kinds build on a
 /// StencilOperator7; ILU(0) also builds on CSR sparsity and throws an Error
-/// on any other operator.
+/// on any other operator, while Chebyshev builds on any operator.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& a,
                                                     const ChebyshevSettings& chebyshev = {});

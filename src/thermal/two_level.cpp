@@ -65,14 +65,14 @@ ThermalField solve_local_window(const Scene& scene, const BoundarySet& bcs,
   auto local_mesh = std::make_shared<const mesh::RectilinearMesh>(
       mesh::RectilinearMesh::build(scene, window, options.local_mesh));
   PH_LOG_DEBUG << "two-level local window: " << local_mesh->cell_count() << " cells";
-  return solve_steady_state(std::move(local_mesh), local_bcs, options.solver);
+  return solve_steady_state(std::move(local_mesh), local_bcs);
 }
 
 TwoLevelResult solve_two_level(const Scene& scene, const BoundarySet& bcs, const Box3& local_box,
                                const TwoLevelOptions& options) {
   auto global_mesh = std::make_shared<const mesh::RectilinearMesh>(
       mesh::RectilinearMesh::build(scene, options.global_mesh));
-  ThermalField global_field = solve_steady_state(global_mesh, bcs, options.solver);
+  ThermalField global_field = solve_steady_state(global_mesh, bcs);
   ThermalField local_field = solve_local_window(scene, bcs, global_field, local_box, options);
   return TwoLevelResult{std::move(global_field), std::move(local_field)};
 }

@@ -16,10 +16,10 @@
 
 namespace photherm::thermal {
 
+/// Both passes solve with the default SteadyStateOptions.
 struct TwoLevelOptions {
   mesh::MeshOptions global_mesh;
   mesh::MeshOptions local_mesh;
-  SteadyStateOptions solver;
   /// Window margin added around the requested local box on x/y [m].
   double window_margin = 150e-6;
 };

@@ -60,16 +60,16 @@ double max_abs_delta(const math::Vector& a, const math::Vector& b) {
   return delta;
 }
 
-void validate_options(const PlaybackOptions& options) {
-  PH_REQUIRE(options.max_periods >= 1, "playback needs at least one period");
-  PH_REQUIRE(options.settle_tolerance > 0.0, "settle tolerance must be positive");
-}
-
 }  // namespace
+
+void PlaybackOptions::validate() const {
+  PH_REQUIRE(max_periods >= 1, "playback needs at least one period");
+  PH_REQUIRE(settle_tolerance > 0.0, "settle tolerance must be positive");
+}
 
 Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& options)
     : options_(options), schedule_(spec.schedule) {
-  validate_options(options_);
+  options_.validate();
   build_scene(spec);
 
   PowerTimeline base =
@@ -97,7 +97,7 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
 Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& options,
                    const PlaybackCheckpoint& checkpoint)
     : options_(options), schedule_(spec.schedule) {
-  validate_options(options_);
+  options_.validate();
   PH_REQUIRE(checkpoint.scenario == spec.name,
              "checkpoint is for scenario `" + checkpoint.scenario +
                  "`, not `" + spec.name + "`");

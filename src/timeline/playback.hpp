@@ -114,6 +114,11 @@ struct PlaybackOptions {
   /// 0 (the default) disables the heartbeat; it never touches the trace or
   /// the physics (`photherm_cli play --progress N`).
   std::size_t progress_every = 0;
+
+  /// Throw an Error naming the first bad option (no period to play, a
+  /// non-positive settle tolerance). Playback and TimelineRunner call this
+  /// on construction, so a batch refuses bad options before any work.
+  void validate() const;
 };
 
 /// Consecutive periods the cycle-over-cycle delta must stay below

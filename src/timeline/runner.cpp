@@ -9,7 +9,9 @@
 
 namespace photherm::timeline {
 
-TimelineRunner::TimelineRunner(TimelineBatchOptions options) : options_(options) {}
+TimelineRunner::TimelineRunner(TimelineBatchOptions options) : options_(options) {
+  options_.playback.validate();
+}
 
 TimelineBatchResult TimelineRunner::run(
     const std::vector<scenario::ScenarioSpec>& scenarios) const {

@@ -49,6 +49,7 @@ struct TimelineBatchResult {
 
 class TimelineRunner {
  public:
+  /// Validates the playback options (PlaybackOptions::validate).
   explicit TimelineRunner(TimelineBatchOptions options = {});
 
   /// Play every scenario (pausing per pause_after_steps, see above).

@@ -61,12 +61,8 @@ namespace photherm::telemetry {
   X(kPlaybackSteps, "playback.steps")                                  \
   X(kPrecondChebyshevApplies, "precond.chebyshev.applies")             \
   X(kPrecondChebyshevBuilds, "precond.chebyshev.builds")               \
-  X(kPrecondIdentityApplies, "precond.identity.applies")               \
-  X(kPrecondIdentityBuilds, "precond.identity.builds")                 \
   X(kPrecondIlu0Applies, "precond.ilu0.applies")                       \
   X(kPrecondIlu0Builds, "precond.ilu0.builds")                         \
-  X(kPrecondJacobiApplies, "precond.jacobi.applies")                   \
-  X(kPrecondJacobiBuilds, "precond.jacobi.builds")                     \
   X(kCgIterations, "solver.conjugate_gradient.iterations")             \
   X(kCgSolves, "solver.conjugate_gradient.solves")                     \
   X(kSpmvCsr, "spmv.csr")                                              \

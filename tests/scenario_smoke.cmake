@@ -10,7 +10,9 @@
 # so the pool must never have been asked to run a job. A usage error must
 # name the failing check by its repository-relative path, not by the
 # configured source directory, and an overflowing input must be reported as
-# an overflow, not as a matrix that is not positive definite.
+# an overflow, not as a matrix that is not positive definite. `diff` matches
+# an infinite cell only to an equal one, whatever the tolerance, and refuses
+# a negative tolerance.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR SOURCE_DIR)
   if(NOT DEFINED ${var})
@@ -96,4 +98,28 @@ endif()
 if(NOT err MATCHES "not finite" OR err MATCHES "positive definite")
   message(FATAL_ERROR "the chip_power = 1e308 failure does not name the overflow; "
                       "got:\n${err}")
+endif()
+
+# diff: an infinite cell matches an equal one and nothing else. Against
+# inf, the relative scale and the difference are both infinite, so a
+# tolerance test alone would let inf match any number.
+file(WRITE ${WORK_DIR}/inf.csv "x\ninf\n")
+file(WRITE ${WORK_DIR}/five.csv "x\n5\n")
+file(WRITE ${WORK_DIR}/neg_inf.csv "x\n-inf\n")
+run_cli(diff ${WORK_DIR}/inf.csv ${WORK_DIR}/inf.csv --tol 1e-9)
+foreach(other five neg_inf)
+  execute_process(COMMAND ${PHOTHERM_CLI} diff ${WORK_DIR}/inf.csv ${WORK_DIR}/${other}.csv
+                          --tol 1e-9
+                  RESULT_VARIABLE rv ERROR_VARIABLE err)
+  if(NOT rv EQUAL 1 OR NOT err MATCHES "line 2, column 1")
+    message(FATAL_ERROR "diff matched inf against ${other}.csv (exit ${rv}); got:\n${err}")
+  endif()
+endforeach()
+
+# diff: a negative tolerance is a usage error, not an exact comparison.
+execute_process(COMMAND ${PHOTHERM_CLI} diff ${WORK_DIR}/five.csv ${WORK_DIR}/five.csv
+                        --tol -1
+                RESULT_VARIABLE rv ERROR_VARIABLE err)
+if(NOT rv EQUAL 2 OR NOT err MATCHES "--tol must be a non-negative")
+  message(FATAL_ERROR "diff accepted --tol -1 (exit ${rv}); got:\n${err}")
 endif()

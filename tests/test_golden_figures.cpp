@@ -113,24 +113,5 @@ TEST(GoldenFig9a, AverageTemperatureSweep) {
   EXPECT_LT(vcsel_slope, 3.5);
 }
 
-TEST(GoldenFig9a, AnchorsHoldOnStencilChebyshevPath) {
-  // The stencil + Chebyshev opt-in must reproduce the same golden anchors
-  // as the default stencil + ILU(0) path: the preconditioner changes how
-  // the system is solved, never what it converges to.
-  core::SweepOptions sweep_options;
-  thermal::SteadyStateOptions solver;
-  solver.operator_kind = thermal::OperatorKind::kStencil;
-  solver.solver.preconditioner = math::PreconditionerKind::kChebyshev;
-  sweep_options.solver = solver;
-
-  const auto sweep = core::sweep_vcsel_chip_power(fig9a_spec(), {12.5}, {0.0, 6e-3},
-                                                  sweep_options);
-  ASSERT_EQ(sweep.size(), 2u);
-  const double tol = 0.05;  // same golden tolerance as the CSR run
-  EXPECT_NEAR(sweep[0].average, 43.316, tol);
-  EXPECT_NEAR(sweep[1].average, 57.840, tol);
-  EXPECT_NEAR(sweep[1].gradient, 8.292, 0.05);
-}
-
 }  // namespace
 }  // namespace photherm

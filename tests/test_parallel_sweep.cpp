@@ -185,7 +185,7 @@ TEST(ParallelSweep, ThreadedSolverIsBitIdenticalAcrossThreadCounts) {
     ScopedConcurrency budget(threads);
     math::Vector x;
     math::SolverOptions options;
-    options.preconditioner = math::PreconditionerKind::kJacobi;
+    options.preconditioner = math::PreconditionerKind::kChebyshev;
     const auto result = math::conjugate_gradient(a, b, x, options);
     EXPECT_TRUE(result.converged);
     return std::make_pair(x, result.iterations);

@@ -942,6 +942,23 @@ TEST(TimelineRegistry, RunnerRejectsEmptyAndInvalidInput) {
   } catch (const SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("broken"), std::string::npos);
   }
+
+  // Bad playback options fail when the runner is built, before any
+  // scenario plays, so a caller (the CLI's quantized-duty check) never
+  // acts on them first.
+  timeline::TimelineBatchOptions options;
+  options.playback.settle_tolerance = -1.0;
+  try {
+    const timeline::TimelineRunner refused(options);
+    FAIL() << "a negative settle tolerance must throw at construction";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("settle tolerance must be positive"),
+              std::string::npos)
+        << e.what();
+  }
+  options.playback.settle_tolerance = 0.02;
+  options.playback.max_periods = 0;
+  EXPECT_THROW(timeline::TimelineRunner{options}, Error);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 # vs threaded — the time-series CSVs must be bit-identical, the
 # TimelineRunner determinism guarantee), then compare against the checked-in
 # golden CSV within a numeric tolerance (absorbs cross-platform
-# floating-point drift while still catching real regressions).
+# floating-point drift while still catching real regressions). Bad options
+# fail with exit code 2 before any playback: a non-positive settle
+# tolerance before the quantized-duty warnings, a preconditioner other
+# than ilu0 or chebyshev while the arguments are read.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -62,3 +65,30 @@ if(NOT serial_csv STREQUAL progress_csv)
 endif()
 
 run_cli(diff ${GOLDEN} ${WORK_DIR}/serial.csv --tol 1e-4)
+
+# Exits 2 with a message matching `regex` and writes no CSV and no
+# warning: the options were refused before anything played.
+function(expect_refused_before_playback regex)
+  file(REMOVE ${WORK_DIR}/refused.csv)
+  execute_process(COMMAND ${PHOTHERM_CLI} ${ARGN} -o ${WORK_DIR}/refused.csv
+                  RESULT_VARIABLE rv ERROR_VARIABLE err)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR "photherm_cli ${ARGN}: expected exit code 2, got ${rv}; "
+                        "stderr:\n${err}")
+  endif()
+  if(NOT err MATCHES "${regex}")
+    message(FATAL_ERROR "photherm_cli ${ARGN}: stderr does not match `${regex}`; "
+                        "got:\n${err}")
+  endif()
+  if(err MATCHES "warning:" OR EXISTS ${WORK_DIR}/refused.csv)
+    message(FATAL_ERROR "photherm_cli ${ARGN} warned or wrote a CSV before refusing "
+                        "its options; stderr:\n${err}")
+  endif()
+endfunction()
+
+expect_refused_before_playback("settle tolerance must be positive"
+                               play builtin:transient --tol -1)
+foreach(dropped identity jacobi)
+  set(unknown_regex "unknown preconditioner `${dropped}` \\(expected ilu0 or chebyshev\\)")
+  expect_refused_before_playback("${unknown_regex}" play builtin:transient --precond ${dropped})
+endforeach()

@@ -30,8 +30,9 @@
 ///       the scenario CSV, which stays byte-identical to an untraced run
 ///       (see README.md "Observability").
 ///   photherm_cli diff <a.csv> <b.csv> [--tol REL]
-///       Compare two CSV files cell by cell; numeric cells match within the
-///       relative tolerance (default 0 = exact), text cells exactly.
+///       Compare two CSV files cell by cell; finite numeric cells match
+///       within the relative tolerance (default 0 = exact), infinite and
+///       text cells exactly.
 ///       Exits 1 on mismatch — the golden-file check of the CTest smoke run.
 #include <algorithm>
 #include <cmath>
@@ -71,7 +72,7 @@ int usage(std::ostream& os, int exit_code) {
         "                                           run the batch, emit CSV\n"
         "  play <suite> [--dt SEC] [--periods N] [--tol DEGC] [--until-settle]\n"
         "               [--adaptive] [--max-period-error REL] [--cold-start]\n"
-        "               [--precond NAME] [--summary] [--threads N]\n"
+        "               [--precond ilu0|chebyshev] [--summary] [--threads N]\n"
         "               [--pause-after N --checkpoint FILE] [--resume FILE]\n"
         "               [--progress N] [--convergence]\n"
         "               [--trace FILE] [--metrics FILE] [-o FILE]\n"
@@ -326,6 +327,12 @@ int cmd_play(const std::vector<std::string>& args) {
   } else if (!until_settle) {
     playback.max_periods = 40;
   }
+  // The runner validates the options: bad ones fail here, before the suite
+  // loads or the duty check below warns against a meaningless tolerance.
+  timeline::TimelineBatchOptions options;
+  options.playback = playback;
+  options.pause_after_steps = pause_after;
+  const timeline::TimelineRunner runner(options);
 
   const auto scenarios = resolve_suite(parsed.suite);
   // Playback steps, and solves its steady reference, on the stencil only.
@@ -357,10 +364,6 @@ int cmd_play(const std::vector<std::string>& args) {
     }
   }
 
-  timeline::TimelineBatchOptions options;
-  options.playback = playback;
-  options.pause_after_steps = pause_after;
-  const timeline::TimelineRunner runner(options);
   std::vector<timeline::PlaybackCheckpoint> resume_from;
   if (resume_path) {
     resume_from = timeline::load_checkpoint_file(*resume_path);
@@ -437,6 +440,7 @@ int cmd_diff(const std::vector<std::string>& args) {
     if (args[i] == "--tol") {
       PH_REQUIRE(i + 1 < args.size(), "--tol needs a value");
       tol = parse_double(args[++i], "--tol");
+      PH_REQUIRE(tol >= 0.0, "--tol must be a non-negative relative tolerance");
     } else {
       paths.push_back(args[i]);
     }
@@ -462,10 +466,13 @@ int cmd_diff(const std::vector<std::string>& args) {
       const auto nb = as_number(cells_b[col]);
       bool ok;
       // NaN cells fall through to the text comparison (NaN != NaN would
-      // make a file mismatch a byte-identical copy of itself).
+      // make a file mismatch a byte-identical copy of itself). An infinite
+      // cell matches only an equal one: against it, the scale and the
+      // difference are both infinite, so the tolerance would pass anything.
       if (na && nb && !std::isnan(*na) && !std::isnan(*nb)) {
+        const bool finite = std::isfinite(*na) && std::isfinite(*nb);
         const double scale = std::max({1.0, std::abs(*na), std::abs(*nb)});
-        ok = *na == *nb || std::abs(*na - *nb) <= tol * scale;
+        ok = *na == *nb || (finite && std::abs(*na - *nb) <= tol * scale);
       } else {
         ok = trim(cells_a[col]) == trim(cells_b[col]);
       }
