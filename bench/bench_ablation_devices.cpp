@@ -2,6 +2,7 @@
 /// network would gain from (a) athermal MR cladding [9], (b) higher-order
 /// ring filters, and (c) narrower ring passbands — all evaluated on the
 /// 46.8 mm ring under the diagonal activity where thermal crosstalk bites.
+#include <cmath>
 #include <iostream>
 
 #include "core/tech.hpp"
@@ -51,7 +52,7 @@ int main() {
       model.vcsel.dlambda_dt = 0.0;
     }
     const noc::SnrAnalyzer analyzer(ring, model);
-    const auto result = analyzer.analyze(comms, temps, noc::CommDrive{3.6e-3});
+    const auto result = analyzer.analyze(comms, temps, 3.6e-3);
     table.add_row({std::string(variant.name), result.worst_snr_db,
                    result.min_signal_power * 1e3, result.max_crosstalk_power * 1e6});
   }

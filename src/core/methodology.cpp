@@ -148,7 +148,8 @@ void key_number(std::ostream& os, double value) { os << std::hexfloat << value <
 
 }  // namespace
 
-std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) const {
+std::string ThermalAwareDesigner::global_scene_key() const {
+  const soc::SccSystem system = build_system();
   std::ostringstream os;
   const auto num = [&os](double v) { key_number(os, v); };
 
@@ -202,19 +203,14 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
   return os.str();
 }
 
-std::string ThermalAwareDesigner::global_scene_key() const {
-  return make_global_key(build_system());
-}
-
 CoarseGlobalSolve ThermalAwareDesigner::solve_global() const {
   soc::SccSystem system = build_system();
-  std::string key = make_global_key(system);
   const thermal::TwoLevelOptions options = two_level_options();
   auto global_mesh = std::make_shared<const mesh::RectilinearMesh>(
       mesh::RectilinearMesh::build(system.scene, options.global_mesh));
   thermal::ThermalField field =
       thermal::solve_steady_state(std::move(global_mesh), boundary_conditions());
-  return CoarseGlobalSolve{std::move(system), std::move(key), std::move(field)};
+  return CoarseGlobalSolve{std::move(system), std::move(field)};
 }
 
 OniThermalReport ThermalAwareDesigner::evaluate_oni_window(
@@ -325,7 +321,7 @@ SnrReport ThermalAwareDesigner::analyze_snr(const ThermalReport& thermal) const 
 
   const noc::SnrAnalyzer analyzer(topology, model);
   SnrReport report;
-  report.network = analyzer.analyze(comms, temps, noc::CommDrive{spec_.p_vcsel});
+  report.network = analyzer.analyze(comms, temps, spec_.p_vcsel);
   report.waveguide_length = rc.perimeter;
   report.oni_count = rc.oni_count;
   return report;

@@ -61,14 +61,13 @@ struct DesignReport {
 };
 
 /// Reusable product of the coarse global pass of the two-level scheme: the
-/// built system plus the coarse package-scale ThermalField, tagged with the
-/// scene key it was solved for. Immutable after construction and safe to
-/// share read-only across threads — the batch runner
-/// (scenario/batch_runner.hpp) caches one per distinct global scene and
-/// fans the per-ONI local-window solves of many scenarios out over it.
+/// built system plus the coarse package-scale ThermalField. Immutable after
+/// construction and safe to share read-only across threads — the batch
+/// runner (scenario/batch_runner.hpp) caches one per distinct
+/// global_scene_key() and fans the per-ONI local-window solves of many
+/// scenarios out over it.
 struct CoarseGlobalSolve {
   soc::SccSystem system;
-  std::string key;  ///< global_scene_key() of the producing spec
   thermal::ThermalField field;
 };
 
@@ -132,7 +131,6 @@ class ThermalAwareDesigner {
 
  private:
   thermal::TwoLevelOptions two_level_options() const;
-  std::string make_global_key(const soc::SccSystem& system) const;
   OniThermalReport evaluate_oni_window(const soc::SccSystem& system,
                                        const thermal::BoundarySet& bcs,
                                        const thermal::TwoLevelOptions& options,

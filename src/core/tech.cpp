@@ -6,7 +6,6 @@ noc::SnrModelConfig make_snr_model(const TechnologyParameters& tech) {
   noc::SnrModelConfig config;
   config.vcsel.wavelength = tech.wavelength;
   config.vcsel.dlambda_dt = tech.thermal_sensitivity;
-  config.microring.resonance = tech.wavelength;
   config.microring.bandwidth_3db = tech.bandwidth_3db;
   config.microring.dlambda_dt = tech.thermal_sensitivity;
   config.waveguide.propagation_loss_db_per_cm = tech.propagation_loss_db_cm;

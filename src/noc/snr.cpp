@@ -1,7 +1,6 @@
 #include "noc/snr.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -15,6 +14,12 @@ using photonics::Photodetector;
 using photonics::Taper;
 using photonics::Vcsel;
 using photonics::Waveguide;
+
+namespace {
+/// Crosstalk floor [W] so SNR stays finite when no interferer exists
+/// (represents detector dark noise: -90 dBm).
+constexpr double kNoiseFloor = 1e-12;
+}  // namespace
 
 const CommResult& NetworkResult::worst_comm() const {
   PH_REQUIRE(!comms.empty(), "no communications analysed");
@@ -32,15 +37,12 @@ SnrAnalyzer::SnrAnalyzer(RingTopology topology, SnrModelConfig config)
 
 NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
                                    const std::vector<double>& node_temperatures,
-                                   const std::vector<CommDrive>& drives) const {
+                                   double p_vcsel) const {
   const std::size_t n = topology_.node_count();
   PH_REQUIRE(node_temperatures.size() == n, "one temperature per ONI required");
   PH_REQUIRE(!comms.empty(), "no communications to analyse");
-  PH_REQUIRE(drives.size() == 1 || drives.size() == comms.size(),
-             "drives: provide one shared entry or one per communication");
 
   const Vcsel vcsel(config_.vcsel);
-  const MicroRing ring_model(config_.microring);
   const Waveguide waveguide(config_.waveguide);
   const Taper taper(config_.taper);
   const Photodetector pd(config_.photodetector);
@@ -51,8 +53,18 @@ NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
     PH_REQUIRE(c.channel < plan.size(), "communication channel out of range");
   }
 
-  // Receiver lookup: for (node, waveguide) the list of comm indices whose
-  // destination MR sits there.
+  // One receiver ring design per channel: the configured ring tuned to the
+  // channel's wavelength.
+  std::vector<MicroRing> rings;
+  rings.reserve(plan.size());
+  for (std::size_t channel = 0; channel < plan.size(); ++channel) {
+    photonics::MicroRingParams params = config_.microring;
+    params.resonance = plan.wavelength(channel);
+    rings.emplace_back(params);
+  }
+
+  // Receiver lookup: for each node, the comm indices whose destination MR
+  // sits there (the walk keeps those on its own waveguide).
   std::vector<std::vector<std::size_t>> receivers_at(n);
   for (std::size_t i = 0; i < comms.size(); ++i) {
     receivers_at[comms[i].dst].push_back(i);
@@ -65,39 +77,32 @@ NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
   // at every receiver MR it passes (paper Sec. IV-C loss recursion).
   for (std::size_t i = 0; i < comms.size(); ++i) {
     const Communication& c = comms[i];
-    const CommDrive& drive = drives.size() == 1 ? drives.front() : drives[i];
     CommResult& r = results[i];
     r.comm = c;
 
-    const double t_src_oni = node_temperatures[c.src];
-    const double t_junction = t_src_oni + config_.vcsel_self_heating;
-    const double i_drive =
-        drive.i_vcsel > 0.0 ? drive.i_vcsel
-                            : vcsel.current_for_dissipated_power(drive.p_vcsel, t_junction);
-    r.op_vcsel = vcsel.output_power(i_drive, t_junction);
+    const double t_junction = node_temperatures[c.src] + config_.vcsel_self_heating;
+    r.op_vcsel =
+        vcsel.output_power(vcsel.current_for_dissipated_power(p_vcsel, t_junction), t_junction);
     r.op_net = taper.coupled_power(r.op_vcsel);
 
-    // Emitted wavelength: channel design value shifted by the source
-    // temperature (VCSEL cavity drifts like the rings: ~0.1 nm/degC).
-    const double lambda_emit = plan.wavelength(c.channel) +
-                               config_.vcsel.dlambda_dt * (t_junction - config_.vcsel.t_ref);
+    // Emitted wavelength: the channel's design value plus the laser's own
+    // thermal drift (~0.1 nm/degC, like the rings).
+    const double lambda_emit = plan.wavelength(c.channel) + vcsel.emission_shift(t_junction);
 
     const Direction dir = OrnocAssigner::direction_of(c.waveguide);
     double p = r.op_net;
-    std::size_t node = c.src;
     // Walk the FULL ring, not just to the destination: the intended MR
     // drops most but not all of the power (thermal misalignment leaves a
     // leak), and the remainder keeps circulating, polluting downstream
     // same-wavelength receivers — the paper's wrap-around recursion
-    // (Delta-lambda_k0 = Delta-lambda_kN in Sec. IV-C).
-    do {
-      // Traverse the segment leaving `node`.
-      const double seg_len = topology_.arc_length(
-          node, dir == Direction::kClockwise ? (node + 1) % n : (node + n - 1) % n, dir);
-      p *= waveguide.transmission(seg_len);
-      node = dir == Direction::kClockwise ? (node + 1) % n : (node + n - 1) % n;
+    // (Delta-lambda_k0 = Delta-lambda_kN in Sec. IV-C). Back at the source,
+    // the injection point terminates the loop.
+    for (std::size_t node = c.src;;) {
+      const RingTopology::Hop hop = RingTopology::hop(node, n, dir);
+      p *= waveguide.transmission(topology_.segment_length(hop.segment));
+      node = hop.node;
       if (node == c.src) {
-        break;  // back at the source: the injection point terminates the loop
+        break;
       }
 
       // Interact with every receiver MR on this waveguide at `node`.
@@ -106,24 +111,17 @@ NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
         if (owner.waveguide != c.waveguide) {
           continue;
         }
+        const MicroRing& ring = rings[owner.channel];
         const double t_node = node_temperatures[node];
-        // Ring resonance drift, including the athermal-cladding factor
-        // (same expression as MicroRing::resonance_at, re-anchored to the
-        // ring's design channel).
-        const double lambda_mr =
-            plan.wavelength(owner.channel) +
-            config_.microring.athermal_factor * config_.microring.dlambda_dt *
-                (t_node - config_.microring.t_ref);
-        const double drop = ring_model.drop_fraction_detuned(lambda_emit - lambda_mr);
-        const double dropped = p * drop * db_to_linear(config_.microring.drop_loss_db);
+        const double dropped = ring.dropped_power(p, lambda_emit, t_node);
         if (node == c.dst && rx == i) {
           r.signal_power = dropped;
         } else {
           crosstalk[rx] += dropped;
         }
-        p *= (1.0 - drop) * db_to_linear(config_.microring.through_loss_db);
+        p *= ring.through_fraction(lambda_emit, t_node);
       }
-    } while (node != c.src);
+    }
   }
 
   NetworkResult net;
@@ -134,7 +132,7 @@ NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
   for (std::size_t i = 0; i < net.comms.size(); ++i) {
     CommResult& r = net.comms[i];
     r.crosstalk_power = crosstalk[i];
-    const double noise = std::max(crosstalk[i], config_.noise_floor);
+    const double noise = std::max(crosstalk[i], kNoiseFloor);
     r.snr_db = ratio_db(std::max(r.signal_power, 1e-30), noise);
     r.detectable = pd.detects(r.signal_power);
     if (!r.detectable) {
@@ -145,12 +143,6 @@ NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
     net.max_crosstalk_power = std::max(net.max_crosstalk_power, r.crosstalk_power);
   }
   return net;
-}
-
-NetworkResult SnrAnalyzer::analyze(const std::vector<Communication>& comms,
-                                   const std::vector<double>& node_temperatures,
-                                   const CommDrive& drive) const {
-  return analyze(comms, node_temperatures, std::vector<CommDrive>{drive});
 }
 
 }  // namespace photherm::noc

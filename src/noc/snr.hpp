@@ -9,6 +9,9 @@
 /// between ONIs shifts resonances by 0.1 nm/degC, so misrouted power
 /// appears as crosstalk on intermediate photodetectors while the intended
 /// receiver loses signal. SNRsd = 10 log10(OPsd[sd] / sum_ij Xsd[ij]).
+/// Every quantity comes from the model that owns it: the Vcsel's L-I curve
+/// and thermal drift, one MicroRing designed per channel, the Waveguide loss
+/// of each RingTopology hop, the Taper and the Photodetector.
 #pragma once
 
 #include <vector>
@@ -22,9 +25,11 @@
 
 namespace photherm::noc {
 
-/// Device models and numerical knobs shared by the whole network.
+/// Device models shared by the whole network.
 struct SnrModelConfig {
   photonics::VcselParams vcsel;
+  /// Receiver ring design; the analyzer tunes one copy to each channel's
+  /// wavelength, so `microring.resonance` is not read.
   photonics::MicroRingParams microring;
   photonics::WaveguideParams waveguide;
   photonics::TaperParams taper;
@@ -35,20 +40,6 @@ struct SnrModelConfig {
   /// (the device self-heats above the interface; from the thermal model
   /// this is the VCSEL-to-ONI gradient).
   double vcsel_self_heating = 0.0;
-
-  /// Crosstalk floor [W] so SNR stays finite when no interferer exists
-  /// (represents detector dark noise; default -90 dBm).
-  double noise_floor = 1e-12;
-};
-
-/// Per-communication drive. The paper explores two equivalent knobs:
-/// the dissipated laser power PVCSEL (Sec. V-B sweeps) and the modulation
-/// current IVCSEL (Sec. III-C / Fig. 3). Set `i_vcsel` > 0 to drive by
-/// current; otherwise `p_vcsel` is the dissipated-power target and the
-/// current is solved from the junction temperature.
-struct CommDrive {
-  double p_vcsel = 3.6e-3;  ///< [W], used when i_vcsel == 0
-  double i_vcsel = 0.0;     ///< [A], takes precedence when > 0
 };
 
 struct CommResult {
@@ -77,19 +68,12 @@ class SnrAnalyzer {
  public:
   SnrAnalyzer(RingTopology topology, SnrModelConfig config);
 
-  const RingTopology& topology() const { return topology_; }
-  const SnrModelConfig& config() const { return config_; }
-
-  /// Evaluate all communications under per-node temperatures. `drives`
-  /// either has one entry (shared by all comms) or one per communication.
+  /// Evaluate all communications under per-node temperatures with every
+  /// laser dissipating `p_vcsel` [W] (the paper's PVCSEL knob, Sec. V-B):
+  /// each laser's drive current is solved at its own junction temperature.
   NetworkResult analyze(const std::vector<Communication>& comms,
                         const std::vector<double>& node_temperatures,
-                        const std::vector<CommDrive>& drives) const;
-
-  /// Convenience: same drive for every communication.
-  NetworkResult analyze(const std::vector<Communication>& comms,
-                        const std::vector<double>& node_temperatures,
-                        const CommDrive& drive) const;
+                        double p_vcsel) const;
 
  private:
   RingTopology topology_;

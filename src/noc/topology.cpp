@@ -6,6 +6,16 @@
 
 namespace photherm::noc {
 
+RingTopology::Hop RingTopology::hop(std::size_t node, std::size_t n, Direction dir) {
+  // Clockwise, `node` leaves over its own segment; counter-clockwise, it
+  // crosses the segment that joins its predecessor to it.
+  if (dir == Direction::kClockwise) {
+    return {(node + 1) % n, node};
+  }
+  const std::size_t previous = (node + n - 1) % n;
+  return {previous, previous};
+}
+
 RingTopology RingTopology::uniform(std::size_t count, double perimeter) {
   PH_REQUIRE(count >= 2, "a ring needs at least two nodes");
   PH_REQUIRE(perimeter > 0.0, "perimeter must be positive");
@@ -21,72 +31,9 @@ RingTopology::RingTopology(std::vector<double> segment_lengths)
   }
 }
 
-double RingTopology::perimeter() const {
-  double total = 0.0;
-  for (double s : segments_) {
-    total += s;
-  }
-  return total;
-}
-
-namespace {
-std::size_t next_node(std::size_t node, std::size_t n, Direction dir) {
-  return dir == Direction::kClockwise ? (node + 1) % n : (node + n - 1) % n;
-}
-}  // namespace
-
-double RingTopology::arc_length(std::size_t src, std::size_t dst, Direction dir) const {
-  const std::size_t n = node_count();
-  PH_REQUIRE(src < n && dst < n, "node index out of range");
-  PH_REQUIRE(src != dst, "arc between a node and itself");
-  double total = 0.0;
-  std::size_t node = src;
-  while (node != dst) {
-    // Clockwise segment i joins node i and node i+1; counter-clockwise from
-    // `node` we traverse segment (node-1) mod n.
-    const std::size_t seg = dir == Direction::kClockwise ? node : (node + n - 1) % n;
-    total += segments_[seg];
-    node = next_node(node, n, dir);
-  }
-  return total;
-}
-
-std::size_t RingTopology::hop_count(std::size_t src, std::size_t dst, Direction dir) const {
-  const std::size_t n = node_count();
-  PH_REQUIRE(src < n && dst < n, "node index out of range");
-  PH_REQUIRE(src != dst, "hop count between a node and itself");
-  return dir == Direction::kClockwise ? (dst + n - src) % n : (src + n - dst) % n;
-}
-
-std::vector<std::size_t> RingTopology::intermediate_nodes(std::size_t src, std::size_t dst,
-                                                          Direction dir) const {
-  std::vector<std::size_t> out;
-  const std::size_t n = node_count();
-  std::size_t node = next_node(src, n, dir);
-  while (node != dst) {
-    out.push_back(node);
-    node = next_node(node, n, dir);
-  }
-  return out;
-}
-
-std::vector<std::size_t> RingTopology::path_nodes(std::size_t src, std::size_t dst,
-                                                  Direction dir) const {
-  std::vector<std::size_t> out = intermediate_nodes(src, dst, dir);
-  out.push_back(dst);
-  return out;
-}
-
-std::vector<std::size_t> RingTopology::path_segments(std::size_t src, std::size_t dst,
-                                                     Direction dir) const {
-  const std::size_t n = node_count();
-  std::vector<std::size_t> out;
-  std::size_t node = src;
-  while (node != dst) {
-    out.push_back(dir == Direction::kClockwise ? node : (node + n - 1) % n);
-    node = next_node(node, n, dir);
-  }
-  return out;
+double RingTopology::segment_length(std::size_t segment) const {
+  PH_REQUIRE(segment < segments_.size(), "segment index out of range");
+  return segments_[segment];
 }
 
 OrnocAssigner::OrnocAssigner(std::size_t node_count, std::size_t waveguide_count,
@@ -101,12 +48,10 @@ std::vector<bool> OrnocAssigner::arc_mask(std::size_t src, std::size_t dst,
                                           std::size_t waveguide) const {
   const Direction dir = direction_of(waveguide);
   std::vector<bool> mask(nodes_, false);
-  std::size_t node = src;
-  while (node != dst) {
-    const std::size_t seg =
-        dir == Direction::kClockwise ? node : (node + nodes_ - 1) % nodes_;
-    mask[seg] = true;
-    node = dir == Direction::kClockwise ? (node + 1) % nodes_ : (node + nodes_ - 1) % nodes_;
+  for (std::size_t node = src; node != dst;) {
+    const RingTopology::Hop hop = RingTopology::hop(node, nodes_, dir);
+    mask[hop.segment] = true;
+    node = hop.node;
   }
   return mask;
 }

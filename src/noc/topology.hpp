@@ -6,10 +6,9 @@
 /// waveguide, which is what makes the network arbitration-free.
 #pragma once
 
-#include <string>
+#include <cstddef>
+#include <utility>
 #include <vector>
-
-#include "geometry/vec.hpp"
 
 namespace photherm::noc {
 
@@ -20,6 +19,15 @@ enum class Direction { kClockwise, kCounterClockwise };
 /// (i+1) % N in clockwise orientation.
 class RingTopology {
  public:
+  /// One step from a node to its neighbour.
+  struct Hop {
+    std::size_t node;     ///< the neighbour reached
+    std::size_t segment;  ///< clockwise id of the segment crossed
+  };
+
+  /// Step from `node` to its neighbour in `dir` on a ring of `n` nodes.
+  static Hop hop(std::size_t node, std::size_t n, Direction dir);
+
   /// Uniform ring: `count` nodes, `perimeter` total length.
   static RingTopology uniform(std::size_t count, double perimeter);
 
@@ -27,25 +35,9 @@ class RingTopology {
   explicit RingTopology(std::vector<double> segment_lengths);
 
   std::size_t node_count() const { return segments_.size(); }
-  double perimeter() const;
 
-  /// Arc length from `src` to `dst` travelling in `dir`.
-  double arc_length(std::size_t src, std::size_t dst, Direction dir) const;
-
-  /// Number of hops (segments traversed) from `src` to `dst` in `dir`.
-  std::size_t hop_count(std::size_t src, std::size_t dst, Direction dir) const;
-
-  /// Ordered list of intermediate nodes strictly between src and dst in
-  /// `dir` (excluding both endpoints).
-  std::vector<std::size_t> intermediate_nodes(std::size_t src, std::size_t dst,
-                                              Direction dir) const;
-
-  /// Nodes visited from src to dst in `dir`, excluding src, including dst.
-  std::vector<std::size_t> path_nodes(std::size_t src, std::size_t dst, Direction dir) const;
-
-  /// Segment indices traversed from src to dst in `dir` (clockwise segment
-  /// ids regardless of direction).
-  std::vector<std::size_t> path_segments(std::size_t src, std::size_t dst, Direction dir) const;
+  /// Length of clockwise segment `segment` [m].
+  double segment_length(std::size_t segment) const;
 
  private:
   std::vector<double> segments_;
@@ -75,8 +67,8 @@ class OrnocAssigner {
   /// exhausted. Returns the communications with waveguide/channel set.
   std::vector<Communication> assign(const std::vector<std::pair<std::size_t, std::size_t>>& requests) const;
 
-  /// Verify an assignment is conflict-free (used by tests and as a
-  /// post-condition).
+  /// Verify an assignment is conflict-free. assign() does not call it: it is
+  /// the tests' oracle for assign().
   bool conflict_free(const std::vector<Communication>& comms) const;
 
   /// Channel iteration order that maximises spectral distance between the

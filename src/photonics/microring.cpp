@@ -49,10 +49,4 @@ double MicroRing::dropped_power(double input_power, double lambda, double t) con
   return input_power * drop_fraction(lambda, t) * db_to_linear(params_.drop_loss_db);
 }
 
-double MrHeater::power_for_shift(double delta_lambda, double dlambda_dt) const {
-  PH_REQUIRE(dlambda_dt > 0.0, "thermal sensitivity must be positive");
-  PH_REQUIRE(delta_lambda >= 0.0, "heaters can only red-shift the resonance");
-  return delta_lambda / dlambda_dt / r_th;
-}
-
 }  // namespace photherm::photonics

@@ -1,6 +1,6 @@
 /// \file microring.hpp
-/// \brief Passive microring resonator (MR) transmission model and MR heater
-/// (paper Fig. 5 and Sec. IV-C).
+/// \brief Passive microring resonator (MR) transmission model (paper Fig. 5
+/// and Sec. IV-C).
 ///
 /// Power coupling to the drop port follows a Lorentzian of the detuning:
 ///   D(dl) = Dmax / (1 + (2 dl / BW3dB)^2),
@@ -13,14 +13,15 @@
 namespace photherm::photonics {
 
 struct MicroRingParams {
-  double resonance = 1550e-9;     ///< design resonant wavelength at t_ref [m]
+  /// Design resonant wavelength at t_ref [m]. The SNR analyzer designs
+  /// each receiver ring for its channel's wavelength.
+  double resonance = 1550e-9;
   double bandwidth_3db = 1.55e-9; ///< power-coupling FWHM [m]
   double d_max = 1.0;             ///< peak drop fraction at zero detuning
   double dlambda_dt = 0.1e-9;     ///< thermal shift [m/degC]
   double t_ref = 25.0;            ///< [degC]
   double drop_loss_db = 0.5;      ///< excess loss on the dropped signal [dB]
   double through_loss_db = 0.01;  ///< excess loss per pass-by [dB]
-  double diameter = 10e-6;        ///< footprint (Fig. 1-c: 10 um)
 
   /// Filter order: 1 = single ring (the paper's Lorentzian); higher-order
   /// (cascaded) designs roll off as the Lorentzian to the n-th power, a
@@ -39,10 +40,7 @@ struct MicroRingParams {
 
 class MicroRing {
  public:
-  MicroRing() = default;
   explicit MicroRing(const MicroRingParams& params);
-
-  const MicroRingParams& params() const { return params_; }
 
   /// Resonant wavelength at ring temperature `t` [m].
   double resonance_at(double t) const;
@@ -62,21 +60,6 @@ class MicroRing {
 
  private:
   MicroRingParams params_;
-};
-
-/// Resistive heater placed on top of an MR (Sec. III-B). Converts heater
-/// power into a local temperature rise through an effective thermal
-/// resistance; the full-physics path is to give the heater block its power
-/// in the thermal model — this lumped version serves the analytical SNR
-/// model and quick design iterations.
-struct MrHeater {
-  double r_th = 1.2e3;  ///< effective [K/W] (about 1.2 degC per mW)
-
-  double temperature_rise(double power) const { return r_th * power; }
-
-  /// Heater power needed to shift the MR resonance by `delta_lambda` given
-  /// the ring's thermal sensitivity [m per degC].
-  double power_for_shift(double delta_lambda, double dlambda_dt) const;
 };
 
 }  // namespace photherm::photonics

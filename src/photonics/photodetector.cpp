@@ -5,24 +5,11 @@
 
 namespace photherm::photonics {
 
-Photodetector::Photodetector(const PhotodetectorParams& params) : params_(params) {
-  PH_REQUIRE(params.responsivity > 0.0, "responsivity must be positive");
-}
-
 double Photodetector::sensitivity_watt() const { return dbm_to_watt(params_.sensitivity_dbm); }
 
 bool Photodetector::detects(double power) const {
   PH_REQUIRE(power >= 0.0, "optical power must be non-negative");
   return power >= sensitivity_watt();
-}
-
-double Photodetector::photocurrent(double power) const {
-  PH_REQUIRE(power >= 0.0, "optical power must be non-negative");
-  return params_.responsivity * power;
-}
-
-bool Photodetector::link_closes(double signal_power, double snr_db) const {
-  return detects(signal_power) && snr_db >= params_.required_snr_db;
 }
 
 }  // namespace photherm::photonics

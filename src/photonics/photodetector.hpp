@@ -1,38 +1,24 @@
 /// \file photodetector.hpp
 /// \brief Large-band photodetector model. Table 1 gives a -20 dBm
-/// sensitivity; a communication is receivable when the signal power clears
-/// the sensitivity and the SNR clears the required margin.
+/// sensitivity; a communication is detectable when its signal power clears
+/// it.
 #pragma once
 
 namespace photherm::photonics {
 
 struct PhotodetectorParams {
   double sensitivity_dbm = -20.0;  ///< minimum detectable power (Table 1)
-  double responsivity = 0.8;       ///< [A/W]
-  double required_snr_db = 10.0;   ///< decision threshold used in reports
-  /// Footprint (Fig. 1-c: 1.5 um x 15 um).
-  double footprint_x = 1.5e-6;
-  double footprint_y = 15e-6;
 };
 
 class Photodetector {
  public:
-  Photodetector() = default;
-  explicit Photodetector(const PhotodetectorParams& params);
-
-  const PhotodetectorParams& params() const { return params_; }
+  explicit Photodetector(const PhotodetectorParams& params) : params_(params) {}
 
   /// Sensitivity threshold in watts.
   double sensitivity_watt() const;
 
   /// True when `power` [W] is detectable.
   bool detects(double power) const;
-
-  /// Photocurrent for incident power [A].
-  double photocurrent(double power) const;
-
-  /// True when both the power and SNR requirements are met.
-  bool link_closes(double signal_power, double snr_db) const;
 
  private:
   PhotodetectorParams params_;

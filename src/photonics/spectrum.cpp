@@ -1,7 +1,5 @@
 #include "photonics/spectrum.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace photherm::photonics {
@@ -17,27 +15,6 @@ double ChannelPlan::wavelength(std::size_t index) const {
   const double offset =
       (static_cast<double>(index) - 0.5 * static_cast<double>(params_.channel_count - 1));
   return params_.center + offset * params_.spacing;
-}
-
-std::vector<double> ChannelPlan::wavelengths() const {
-  std::vector<double> out(params_.channel_count);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = wavelength(i);
-  }
-  return out;
-}
-
-std::size_t ChannelPlan::nearest_channel(double lambda) const {
-  std::size_t best = 0;
-  double best_distance = std::abs(lambda - wavelength(0));
-  for (std::size_t i = 1; i < params_.channel_count; ++i) {
-    const double d = std::abs(lambda - wavelength(i));
-    if (d < best_distance) {
-      best_distance = d;
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace photherm::photonics

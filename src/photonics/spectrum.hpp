@@ -6,7 +6,7 @@
 /// which is exactly the effect the SNR analysis quantifies.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 namespace photherm::photonics {
 
@@ -21,19 +21,12 @@ struct ChannelPlanParams {
 
 class ChannelPlan {
  public:
-  ChannelPlan() = default;
   explicit ChannelPlan(const ChannelPlanParams& params);
 
   std::size_t size() const { return params_.channel_count; }
 
   /// Design wavelength of channel `index` [m]; channels straddle the centre.
   double wavelength(std::size_t index) const;
-
-  /// All channel wavelengths.
-  std::vector<double> wavelengths() const;
-
-  /// Index of the channel closest to `lambda`.
-  std::size_t nearest_channel(double lambda) const;
 
   const ChannelPlanParams& params() const { return params_; }
 

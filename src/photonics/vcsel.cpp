@@ -1,6 +1,5 @@
 #include "photonics/vcsel.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -55,8 +54,8 @@ double Vcsel::wall_plug_efficiency(double i, double t) const {
   return output_power(i, t) / electrical_power(i);
 }
 
-double Vcsel::emission_wavelength(double t) const {
-  return params_.wavelength + params_.dlambda_dt * (t - params_.t_ref);
+double Vcsel::emission_shift(double t) const {
+  return params_.dlambda_dt * (t - params_.t_ref);
 }
 
 double Vcsel::current_for_dissipated_power(double p_diss, double t) const {
@@ -79,21 +78,6 @@ double Vcsel::current_for_dissipated_power(double p_diss, double t) const {
     }
   }
   return 0.5 * (lo + hi);
-}
-
-double Vcsel::junction_temperature(double i, double t_base, double r_th) const {
-  PH_REQUIRE(r_th >= 0.0, "thermal resistance must be non-negative");
-  double t = t_base;
-  for (int iter = 0; iter < 200; ++iter) {
-    const double next = t_base + r_th * dissipated_power(i, t);
-    if (std::abs(next - t) < 1e-9) {
-      return next;
-    }
-    // Damped fixed point: the map is mildly contracting for realistic r_th,
-    // damping keeps it stable even at high drive.
-    t = 0.5 * t + 0.5 * next;
-  }
-  return t;
 }
 
 double Vcsel::output_power_for_dissipated(double p_diss, double t_base, double r_th) const {

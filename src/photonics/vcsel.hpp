@@ -8,14 +8,13 @@
 /// a logistic derating of the differential efficiency eta_d(T), and an
 /// electrical junction V(I) = V0 + Rs * I. The default parameters are
 /// calibrated to the paper's anchor points: wall-plug efficiency ~15 % at
-/// 40 degC dropping to ~4 % at 60 degC (Sec. III-C), direct-modulation
-/// bandwidth 12 GHz, 0.1 nm 3-dB linewidth, 1550 nm emission.
+/// 40 degC dropping to ~4 % at 60 degC (Sec. III-C), 1550 nm emission.
 #pragma once
 
 namespace photherm::photonics {
 
 struct VcselParams {
-  double wavelength = 1550e-9;     ///< emission wavelength at t_ref [m]
+  double wavelength = 1550e-9;     ///< emission wavelength at t_ref (photon energy) [m]
   double dlambda_dt = 0.1e-9;      ///< emission shift [m/degC]
   double t_ref = 25.0;             ///< reference temperature [degC]
 
@@ -31,18 +30,11 @@ struct VcselParams {
   double eta_d_t_slope = 10.0;     ///< logistic width [degC]
 
   double max_current = 20e-3;      ///< safe operating limit [A]
-
-  /// Footprint of the device (Fig. 1-c: 15 um x 30 um).
-  double footprint_x = 15e-6;
-  double footprint_y = 30e-6;
-  /// Direct-modulation bandwidth [Hz] (informational; Sec. V-A: 12 GHz).
-  double modulation_bandwidth = 12e9;
 };
 
 /// Immutable VCSEL model.
 class Vcsel {
  public:
-  Vcsel() = default;
   explicit Vcsel(const VcselParams& params);
 
   const VcselParams& params() const { return params_; }
@@ -69,17 +61,13 @@ class Vcsel {
   /// Wall-plug efficiency Pout / Pelec (the paper's eta_VCSEL, Fig. 8-b).
   double wall_plug_efficiency(double i, double t) const;
 
-  /// Emission wavelength at junction temperature `t` [m].
-  double emission_wavelength(double t) const;
+  /// Thermal drift of the emission wavelength at junction temperature `t`
+  /// away from its value at t_ref [m].
+  double emission_shift(double t) const;
 
   /// Inverse model: drive current whose *dissipated* power equals `p_diss`
   /// at fixed junction temperature `t`. Monotonic in i; solved by bisection.
   double current_for_dissipated_power(double p_diss, double t) const;
-
-  /// Self-consistent junction temperature for drive `i` when the device
-  /// sees a local thermal resistance `r_th` [K/W] to a baseline temperature
-  /// `t_base`: solves T = t_base + r_th * Pdiss(i, T) by fixed point.
-  double junction_temperature(double i, double t_base, double r_th) const;
 
   /// Emitted power vs dissipated power including self-heating: the Fig. 8-c
   /// characteristic. Junction temperature is t_base + r_th * p_diss.

@@ -7,8 +7,6 @@ namespace photherm::photonics {
 
 Waveguide::Waveguide(const WaveguideParams& params) : params_(params) {
   PH_REQUIRE(params.propagation_loss_db_per_cm >= 0.0, "propagation loss must be non-negative");
-  PH_REQUIRE(params.crossing_loss_db >= 0.0, "crossing loss must be non-negative");
-  PH_REQUIRE(params.bend_loss_db >= 0.0, "bend loss must be non-negative");
 }
 
 double Waveguide::loss_db(double length) const {
@@ -17,13 +15,6 @@ double Waveguide::loss_db(double length) const {
 }
 
 double Waveguide::transmission(double length) const { return db_to_linear(loss_db(length)); }
-
-double Waveguide::path_transmission(double length, int crossings, int bends) const {
-  PH_REQUIRE(crossings >= 0 && bends >= 0, "crossing/bend counts must be non-negative");
-  const double extra_db =
-      params_.crossing_loss_db * crossings + params_.bend_loss_db * bends;
-  return transmission(length) * db_to_linear(extra_db);
-}
 
 Taper::Taper(const TaperParams& params) : params_(params) {
   PH_REQUIRE(params.coupling_efficiency > 0.0 && params.coupling_efficiency <= 1.0,

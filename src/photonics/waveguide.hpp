@@ -1,32 +1,25 @@
 /// \file waveguide.hpp
 /// \brief Waveguide propagation model. Table 1: 0.5 dB/cm propagation loss
-/// [3]; crossings (used only by the baseline crossbar topologies — ORNoC is
-/// crossing-free) and the VCSEL taper coupling (70 %, Fig. 2) live here too.
+/// [3]; the VCSEL taper coupling (70 %, Fig. 2) lives here too. ORNoC is
+/// crossing-free: only the crossbar baselines count crossings, with their own
+/// coefficient (noc::CrossbarLossParams in noc/baselines.hpp).
 #pragma once
 
 namespace photherm::photonics {
 
 struct WaveguideParams {
   double propagation_loss_db_per_cm = 0.5;  ///< Table 1
-  double crossing_loss_db = 0.15;           ///< per waveguide crossing
-  double bend_loss_db = 0.005;              ///< per 90-degree bend
 };
 
 class Waveguide {
  public:
-  Waveguide() = default;
   explicit Waveguide(const WaveguideParams& params);
-
-  const WaveguideParams& params() const { return params_; }
 
   /// Linear transmission over `length` [m].
   double transmission(double length) const;
 
   /// Loss in dB over `length` [m].
   double loss_db(double length) const;
-
-  /// Combined transmission of a path: length + crossings + bends.
-  double path_transmission(double length, int crossings, int bends = 0) const;
 
  private:
   WaveguideParams params_;
@@ -40,11 +33,9 @@ struct TaperParams {
 
 class Taper {
  public:
-  Taper() = default;
   explicit Taper(const TaperParams& params);
 
   double coupled_power(double input_power) const;
-  const TaperParams& params() const { return params_; }
 
  private:
   TaperParams params_;

@@ -18,75 +18,4 @@ std::size_t find_segment(const std::vector<double>& knots, double x) {
   return static_cast<std::size_t>(std::distance(knots.begin(), it)) - 1;
 }
 
-namespace {
-void check_strictly_increasing(const std::vector<double>& xs, const char* what) {
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    PH_REQUIRE(xs[i] > xs[i - 1], std::string(what) + " must be strictly increasing");
-  }
-}
-}  // namespace
-
-LinearInterp1D::LinearInterp1D(std::vector<double> xs, std::vector<double> ys)
-    : xs_(std::move(xs)), ys_(std::move(ys)) {
-  PH_REQUIRE(xs_.size() == ys_.size(), "interpolation vectors must have equal size");
-  PH_REQUIRE(xs_.size() >= 2, "interpolation needs at least two samples");
-  check_strictly_increasing(xs_, "interpolation abscissae");
-}
-
-double LinearInterp1D::operator()(double x) const {
-  PH_REQUIRE(!xs_.empty(), "querying an empty interpolant");
-  if (x <= xs_.front()) {
-    return ys_.front();
-  }
-  if (x >= xs_.back()) {
-    return ys_.back();
-  }
-  const std::size_t i = find_segment(xs_, x);
-  const double t = (x - xs_[i]) / (xs_[i + 1] - xs_[i]);
-  return ys_[i] + t * (ys_[i + 1] - ys_[i]);
-}
-
-double LinearInterp1D::derivative(double x) const {
-  PH_REQUIRE(!xs_.empty(), "querying an empty interpolant");
-  const std::size_t i = find_segment(xs_, x);
-  return (ys_[i + 1] - ys_[i]) / (xs_[i + 1] - xs_[i]);
-}
-
-double LinearInterp1D::x_min() const {
-  PH_REQUIRE(!xs_.empty(), "querying an empty interpolant");
-  return xs_.front();
-}
-
-double LinearInterp1D::x_max() const {
-  PH_REQUIRE(!xs_.empty(), "querying an empty interpolant");
-  return xs_.back();
-}
-
-BilinearInterp2D::BilinearInterp2D(std::vector<double> xs, std::vector<double> ys,
-                                   std::vector<std::vector<double>> values)
-    : xs_(std::move(xs)), ys_(std::move(ys)), values_(std::move(values)) {
-  PH_REQUIRE(xs_.size() >= 2 && ys_.size() >= 2, "bilinear grid needs at least 2x2 samples");
-  check_strictly_increasing(xs_, "bilinear x grid");
-  check_strictly_increasing(ys_, "bilinear y grid");
-  PH_REQUIRE(values_.size() == xs_.size(), "bilinear values: row count must match xs");
-  for (const auto& row : values_) {
-    PH_REQUIRE(row.size() == ys_.size(), "bilinear values: column count must match ys");
-  }
-}
-
-double BilinearInterp2D::operator()(double x, double y) const {
-  PH_REQUIRE(!xs_.empty(), "querying an empty interpolant");
-  const double cx = std::clamp(x, xs_.front(), xs_.back());
-  const double cy = std::clamp(y, ys_.front(), ys_.back());
-  const std::size_t i = find_segment(xs_, cx);
-  const std::size_t j = find_segment(ys_, cy);
-  const double tx = (cx - xs_[i]) / (xs_[i + 1] - xs_[i]);
-  const double ty = (cy - ys_[j]) / (ys_[j + 1] - ys_[j]);
-  const double v00 = values_[i][j];
-  const double v10 = values_[i + 1][j];
-  const double v01 = values_[i][j + 1];
-  const double v11 = values_[i + 1][j + 1];
-  return (1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10 + (1 - tx) * ty * v01 + tx * ty * v11;
-}
-
 }  // namespace photherm

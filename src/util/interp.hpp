@@ -1,59 +1,16 @@
 /// \file interp.hpp
-/// \brief Piecewise-linear interpolation. The VCSEL model and material
-/// library expose measured curves (efficiency vs temperature, conductivity
-/// vs temperature) as sampled tables interpolated at query time.
+/// \brief Knot-interval lookup on a strictly increasing abscissa vector, the
+/// search behind the mesh axis cell lookup (mesh::AxisGrid::find_cell).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace photherm {
 
-/// Piecewise-linear 1-D interpolant over strictly increasing abscissae.
-/// Queries outside the domain clamp to the boundary values (device curves
-/// saturate rather than extrapolate).
-class LinearInterp1D {
- public:
-  LinearInterp1D() = default;
-
-  /// `xs` must be strictly increasing and the two vectors the same size >= 2.
-  LinearInterp1D(std::vector<double> xs, std::vector<double> ys);
-
-  double operator()(double x) const;
-
-  /// Derivative of the interpolant at `x` (piecewise constant; at knots the
-  /// right-segment slope is returned, at the last knot the left-segment one).
-  double derivative(double x) const;
-
-  bool empty() const { return xs_.empty(); }
-  double x_min() const;
-  double x_max() const;
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-};
-
-/// Bilinear interpolation on a tensor grid: values[i][j] = f(xs[i], ys[j]).
-/// Queries clamp to the grid boundary.
-class BilinearInterp2D {
- public:
-  BilinearInterp2D() = default;
-  BilinearInterp2D(std::vector<double> xs, std::vector<double> ys,
-                   std::vector<std::vector<double>> values);
-
-  double operator()(double x, double y) const;
-
-  bool empty() const { return xs_.empty(); }
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  std::vector<std::vector<double>> values_;
-};
-
 /// Index of the segment containing x in a strictly increasing knot vector:
 /// returns i such that knots[i] <= x < knots[i+1], clamped to
-/// [0, knots.size()-2]. Exposed for reuse by the mesh axis lookup.
+/// [0, knots.size()-2].
 std::size_t find_segment(const std::vector<double>& knots, double x);
 
 }  // namespace photherm

@@ -63,7 +63,7 @@ require_match(${WORK_DIR}/trace4.json
 # Both export formats must carry the run manifest: the CSV as a
 # `# key=value` comment block, the trace as a top-level "manifest" object.
 require_match(${WORK_DIR}/trace1.json "\"manifest\":{" "a trace manifest object")
-require_match(${WORK_DIR}/trace1.json "\"build_type\":\"(debug|release)\""
+require_match(${WORK_DIR}/trace1.json "\"build_type\":\"(debug|release|relwithdebinfo|minsizerel)\""
               "the build type in the trace manifest")
 require_match(${WORK_DIR}/trace1.json "\"git_sha\":" "the git sha in the trace manifest")
 require_match(${WORK_DIR}/trace4.json "\"threads\":\"4\"" "the runtime thread count")
@@ -80,7 +80,7 @@ endforeach()
 foreach(metrics metrics1 metrics4)
   require_match(${WORK_DIR}/${metrics}.csv "# photherm-manifest v1"
                 "the manifest comment block")
-  require_match(${WORK_DIR}/${metrics}.csv "# build_type=(debug|release)"
+  require_match(${WORK_DIR}/${metrics}.csv "# build_type=(debug|release|relwithdebinfo|minsizerel)"
                 "the build type manifest entry")
   require_match(${WORK_DIR}/${metrics}.csv "# suite=builtin:transient"
                 "the suite manifest entry")

@@ -2,43 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace photherm {
 namespace {
-
-TEST(LinearInterp, ExactAtKnots) {
-  const LinearInterp1D f({0.0, 1.0, 3.0}, {2.0, 4.0, 0.0});
-  EXPECT_DOUBLE_EQ(f(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(f(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(f(3.0), 0.0);
-}
-
-TEST(LinearInterp, LinearBetweenKnots) {
-  const LinearInterp1D f({0.0, 2.0}, {0.0, 10.0});
-  EXPECT_DOUBLE_EQ(f(0.5), 2.5);
-  EXPECT_DOUBLE_EQ(f(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(f(1.5), 7.5);
-}
-
-TEST(LinearInterp, ClampsOutsideDomain) {
-  const LinearInterp1D f({1.0, 2.0}, {5.0, 7.0});
-  EXPECT_DOUBLE_EQ(f(0.0), 5.0);
-  EXPECT_DOUBLE_EQ(f(10.0), 7.0);
-}
-
-TEST(LinearInterp, Derivative) {
-  const LinearInterp1D f({0.0, 1.0, 2.0}, {0.0, 1.0, 3.0});
-  EXPECT_DOUBLE_EQ(f.derivative(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(f.derivative(1.5), 2.0);
-}
-
-TEST(LinearInterp, RejectsBadInput) {
-  EXPECT_THROW(LinearInterp1D({1.0}, {1.0}), Error);
-  EXPECT_THROW(LinearInterp1D({1.0, 1.0}, {1.0, 2.0}), Error);
-  EXPECT_THROW(LinearInterp1D({2.0, 1.0}, {1.0, 2.0}), Error);
-  EXPECT_THROW(LinearInterp1D({1.0, 2.0}, {1.0}), Error);
-}
 
 TEST(FindSegment, BoundariesAndInterior) {
   const std::vector<double> knots{0.0, 1.0, 2.0, 5.0};
@@ -50,30 +15,6 @@ TEST(FindSegment, BoundariesAndInterior) {
   EXPECT_EQ(find_segment(knots, 4.0), 2u);
   EXPECT_EQ(find_segment(knots, 5.0), 2u);
   EXPECT_EQ(find_segment(knots, 99.0), 2u);
-}
-
-TEST(BilinearInterp, ExactAtGridPoints) {
-  const BilinearInterp2D f({0.0, 1.0}, {0.0, 1.0}, {{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_DOUBLE_EQ(f(0.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(0.0, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(f(1.0, 0.0), 3.0);
-  EXPECT_DOUBLE_EQ(f(1.0, 1.0), 4.0);
-}
-
-TEST(BilinearInterp, CenterIsMean) {
-  const BilinearInterp2D f({0.0, 1.0}, {0.0, 1.0}, {{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_DOUBLE_EQ(f(0.5, 0.5), 2.5);
-}
-
-TEST(BilinearInterp, ClampsOutside) {
-  const BilinearInterp2D f({0.0, 1.0}, {0.0, 1.0}, {{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_DOUBLE_EQ(f(-5.0, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(5.0, 5.0), 4.0);
-}
-
-TEST(BilinearInterp, RejectsRaggedValues) {
-  EXPECT_THROW(BilinearInterp2D({0.0, 1.0}, {0.0, 1.0}, {{1.0}, {3.0, 4.0}}), Error);
-  EXPECT_THROW(BilinearInterp2D({0.0, 1.0}, {0.0, 1.0}, {{1.0, 2.0}}), Error);
 }
 
 }  // namespace

@@ -81,15 +81,5 @@ TEST(MicroRing, Validation) {
   EXPECT_THROW(ok.dropped_power(-1.0, 1550e-9, 25.0), Error);
 }
 
-TEST(MrHeater, TemperatureRiseAndInverse) {
-  MrHeater heater;
-  heater.r_th = 1.5e3;
-  EXPECT_DOUBLE_EQ(heater.temperature_rise(1e-3), 1.5);
-  // Power needed to shift by 0.15 nm at 0.1 nm/degC = 1.5 degC -> 1 mW.
-  EXPECT_NEAR(heater.power_for_shift(0.15e-9, 0.1e-9), 1e-3, 1e-12);
-  EXPECT_THROW(heater.power_for_shift(-1e-9, 0.1e-9), Error);
-  EXPECT_THROW(heater.power_for_shift(1e-9, 0.0), Error);
-}
-
 }  // namespace
 }  // namespace photherm::photonics

@@ -115,7 +115,6 @@ TEST(ParallelSweep, SharedCoarseSolveMatchesColdSolveBitForBit) {
   ASSERT_EQ(designer.global_scene_key(), other.global_scene_key());
 
   const core::CoarseGlobalSolve global = designer.solve_global();
-  EXPECT_EQ(global.key, designer.global_scene_key());
   expect_same_thermal(other.evaluate_thermal(),               // cold: own global solve
                       other.evaluate_thermal(global),         // shared coarse field
                       "shared coarse solve vs cold");

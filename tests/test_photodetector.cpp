@@ -17,25 +17,7 @@ TEST(Photodetector, SensitivityThreshold) {
   EXPECT_FALSE(pd.detects(0.9e-5));
 }
 
-TEST(Photodetector, Photocurrent) {
-  PhotodetectorParams params;
-  params.responsivity = 0.8;
-  const Photodetector pd{params};
-  EXPECT_DOUBLE_EQ(pd.photocurrent(1e-3), 0.8e-3);
-  EXPECT_THROW(pd.photocurrent(-1.0), Error);
-}
-
-TEST(Photodetector, LinkClosure) {
-  const Photodetector pd{PhotodetectorParams{}};
-  EXPECT_TRUE(pd.link_closes(1e-4, 20.0));
-  EXPECT_FALSE(pd.link_closes(1e-7, 20.0));  // below sensitivity
-  EXPECT_FALSE(pd.link_closes(1e-4, 5.0));   // below SNR requirement
-}
-
 TEST(Photodetector, Validation) {
-  PhotodetectorParams params;
-  params.responsivity = 0.0;
-  EXPECT_THROW(Photodetector{params}, Error);
   const Photodetector ok{PhotodetectorParams{}};
   EXPECT_THROW(ok.detects(-1.0), Error);
 }

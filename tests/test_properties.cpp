@@ -123,7 +123,7 @@ TEST_P(SnrProperties, ReceivedPowerNeverExceedsInjected) {
   }
 
   const noc::SnrAnalyzer analyzer(ring, core::make_snr_model());
-  const auto result = analyzer.analyze(comms, temps, noc::CommDrive{3.6e-3});
+  const auto result = analyzer.analyze(comms, temps, 3.6e-3);
 
   double injected = 0.0;
   double received_signal = 0.0;
@@ -151,13 +151,12 @@ TEST_P(SnrProperties, UniformTemperatureIsOptimal) {
   const noc::SnrAnalyzer analyzer(ring, core::make_snr_model());
 
   const double base = 55.0;
-  const auto uniform =
-      analyzer.analyze(comms, std::vector<double>(nodes, base), noc::CommDrive{3.6e-3});
+  const auto uniform = analyzer.analyze(comms, std::vector<double>(nodes, base), 3.6e-3);
   std::vector<double> skewed(nodes);
   for (double& t : skewed) {
     t = base + rng.uniform(-4.0, 4.0);
   }
-  const auto perturbed = analyzer.analyze(comms, skewed, noc::CommDrive{3.6e-3});
+  const auto perturbed = analyzer.analyze(comms, skewed, 3.6e-3);
   EXPECT_LE(perturbed.worst_snr_db, uniform.worst_snr_db + 0.75);
 }
 

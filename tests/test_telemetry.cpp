@@ -419,7 +419,10 @@ TEST_F(TelemetryTest, ManifestRoundTripsThroughBothExports) {
   for (const auto& [key, value] : manifest()) {
     if (key == "build_type") {
       saw_build_type = true;
-      EXPECT_TRUE(value == "debug" || value == "release") << value;
+      // CMAKE_BUILD_TYPE, lower-cased: any of CMake's four build types.
+      EXPECT_TRUE(value == "debug" || value == "release" || value == "relwithdebinfo" ||
+                  value == "minsizerel")
+          << value;
     }
   }
   EXPECT_TRUE(saw_build_type);

@@ -7,15 +7,40 @@
 namespace photherm::noc {
 namespace {
 
+/// Length of the arc from `src` to `dst` in `dir`, walked hop by hop.
+double arc_length(const RingTopology& ring, std::size_t src, std::size_t dst, Direction dir) {
+  double total = 0.0;
+  for (std::size_t node = src; node != dst;) {
+    const RingTopology::Hop hop = RingTopology::hop(node, ring.node_count(), dir);
+    total += ring.segment_length(hop.segment);
+    node = hop.node;
+  }
+  return total;
+}
+
+double perimeter(const RingTopology& ring) {
+  double total = 0.0;
+  for (std::size_t s = 0; s < ring.node_count(); ++s) {
+    total += ring.segment_length(s);
+  }
+  return total;
+}
+
 TEST(RingTopology, UniformGeometry) {
   const auto ring = RingTopology::uniform(4, 18e-3);
   EXPECT_EQ(ring.node_count(), 4u);
-  EXPECT_NEAR(ring.perimeter(), 18e-3, 1e-12);
-  EXPECT_NEAR(ring.arc_length(0, 1, Direction::kClockwise), 4.5e-3, 1e-12);
-  EXPECT_NEAR(ring.arc_length(0, 3, Direction::kClockwise), 13.5e-3, 1e-12);
-  EXPECT_NEAR(ring.arc_length(0, 3, Direction::kCounterClockwise), 4.5e-3, 1e-12);
-  EXPECT_EQ(ring.hop_count(0, 3, Direction::kClockwise), 3u);
-  EXPECT_EQ(ring.hop_count(0, 3, Direction::kCounterClockwise), 1u);
+  EXPECT_NEAR(perimeter(ring), 18e-3, 1e-12);
+  EXPECT_NEAR(ring.segment_length(2), 4.5e-3, 1e-12);
+  // Clockwise a node leaves over its own segment; counter-clockwise over the
+  // segment from its predecessor, wrapping at node 0.
+  const RingTopology::Hop cw = RingTopology::hop(3, 4, Direction::kClockwise);
+  EXPECT_EQ(cw.node, 0u);
+  EXPECT_EQ(cw.segment, 3u);
+  const RingTopology::Hop ccw = RingTopology::hop(0, 4, Direction::kCounterClockwise);
+  EXPECT_EQ(ccw.node, 3u);
+  EXPECT_EQ(ccw.segment, 3u);
+  EXPECT_NEAR(arc_length(ring, 0, 3, Direction::kClockwise), 13.5e-3, 1e-12);
+  EXPECT_NEAR(arc_length(ring, 0, 3, Direction::kCounterClockwise), 4.5e-3, 1e-12);
 }
 
 TEST(RingTopology, ArcsComplementToPerimeter) {
@@ -25,36 +50,18 @@ TEST(RingTopology, ArcsComplementToPerimeter) {
       if (s == d) {
         continue;
       }
-      const double cw = ring.arc_length(s, d, Direction::kClockwise);
-      const double ccw = ring.arc_length(s, d, Direction::kCounterClockwise);
-      EXPECT_NEAR(cw + ccw, ring.perimeter(), 1e-12);
+      const double cw = arc_length(ring, s, d, Direction::kClockwise);
+      const double ccw = arc_length(ring, s, d, Direction::kCounterClockwise);
+      EXPECT_NEAR(cw + ccw, perimeter(ring), 1e-12);
     }
   }
 }
 
 TEST(RingTopology, NonUniformSegments) {
   const RingTopology ring({1e-3, 2e-3, 3e-3});
-  EXPECT_NEAR(ring.perimeter(), 6e-3, 1e-15);
-  EXPECT_NEAR(ring.arc_length(1, 0, Direction::kClockwise), 5e-3, 1e-15);
-  EXPECT_NEAR(ring.arc_length(1, 0, Direction::kCounterClockwise), 1e-3, 1e-15);
-}
-
-TEST(RingTopology, PathNodes) {
-  const auto ring = RingTopology::uniform(5, 1.0);
-  const auto cw = ring.path_nodes(1, 4, Direction::kClockwise);
-  EXPECT_EQ(cw, (std::vector<std::size_t>{2, 3, 4}));
-  const auto ccw = ring.path_nodes(1, 4, Direction::kCounterClockwise);
-  EXPECT_EQ(ccw, (std::vector<std::size_t>{0, 4}));
-  const auto inter = ring.intermediate_nodes(0, 2, Direction::kClockwise);
-  EXPECT_EQ(inter, (std::vector<std::size_t>{1}));
-}
-
-TEST(RingTopology, PathSegments) {
-  const auto ring = RingTopology::uniform(4, 1.0);
-  EXPECT_EQ(ring.path_segments(0, 2, Direction::kClockwise),
-            (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(ring.path_segments(0, 2, Direction::kCounterClockwise),
-            (std::vector<std::size_t>{3, 2}));
+  EXPECT_NEAR(perimeter(ring), 6e-3, 1e-15);
+  EXPECT_NEAR(arc_length(ring, 1, 0, Direction::kClockwise), 5e-3, 1e-15);
+  EXPECT_NEAR(arc_length(ring, 1, 0, Direction::kCounterClockwise), 1e-3, 1e-15);
 }
 
 TEST(RingTopology, Validation) {
@@ -62,8 +69,7 @@ TEST(RingTopology, Validation) {
   EXPECT_THROW(RingTopology({1e-3}), Error);
   EXPECT_THROW(RingTopology({1e-3, -1e-3}), Error);
   const auto ring = RingTopology::uniform(3, 1.0);
-  EXPECT_THROW(ring.arc_length(0, 0, Direction::kClockwise), Error);
-  EXPECT_THROW(ring.arc_length(0, 9, Direction::kClockwise), Error);
+  EXPECT_THROW(ring.segment_length(3), Error);
 }
 
 TEST(OrnocAssigner, AssignsConflictFree) {

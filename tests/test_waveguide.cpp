@@ -24,16 +24,6 @@ TEST(Waveguide, PaperRingLengths) {
   EXPECT_NEAR(wg.loss_db(46.8e-3), 2.34, 1e-9);
 }
 
-TEST(Waveguide, PathTransmissionComposesLosses) {
-  WaveguideParams params;
-  params.propagation_loss_db_per_cm = 1.0;
-  params.crossing_loss_db = 0.5;
-  params.bend_loss_db = 0.25;
-  const Waveguide wg{params};
-  // 1 cm + 2 crossings + 4 bends = 1 + 1 + 1 = 3 dB -> x0.5.
-  EXPECT_NEAR(wg.path_transmission(1e-2, 2, 4), 0.5012, 1e-3);
-}
-
 TEST(Waveguide, MonotoneInLength) {
   const Waveguide wg{WaveguideParams{}};
   double previous = 1.0;
@@ -50,7 +40,6 @@ TEST(Waveguide, Validation) {
   EXPECT_THROW(Waveguide{params}, Error);
   const Waveguide ok{WaveguideParams{}};
   EXPECT_THROW(ok.transmission(-1.0), Error);
-  EXPECT_THROW(ok.path_transmission(1.0, -1), Error);
 }
 
 TEST(Taper, CouplesSeventyPercent) {
