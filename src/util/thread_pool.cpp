@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -62,86 +61,92 @@ void set_concurrency(std::size_t threads) {
 }
 
 struct ThreadPool::Impl {
-  /// One parallel region. Workers pull chunk indices from `next` until it
-  /// passes `count`; the caller waits until `done == count`.
-  struct Job {
-    std::function<void(std::size_t)> fn;
-    std::size_t count = 0;
-    std::size_t max_extra_workers = 0;
-    /// Telemetry publish stamp (detail::now_ns at submit); -1 while
-    /// telemetry is disabled so workers read no clock and take no lock.
+  /// One parallel region. It lives on the stack of the `run()` call that
+  /// opens it and refers to the caller's callable. Executors pull chunk
+  /// indices from `next` until it passes `count`. `seats` and `active` are
+  /// guarded by the pool mutex: workers join while a seat is free, and the
+  /// caller returns only after `active` is back to 0, so no worker touches
+  /// the region once `run()` has returned.
+  struct Region {
+    Region(const std::function<void(std::size_t)>& chunk_fn, std::size_t chunk_count,
+           std::size_t extra_workers)
+        : fn(chunk_fn), count(chunk_count), seats(extra_workers) {}
+
+    const std::function<void(std::size_t)>& fn;
+    const std::size_t count;
+    /// Workers that may still join: executors - 1 at open, 0 once any
+    /// worker has found the cursor exhausted.
+    std::size_t seats;
+    /// Workers inside the region.
+    std::size_t active = 0;
+    /// Telemetry publish stamp (detail::now_ns at open); -1 while
+    /// telemetry is disabled so workers read no clock.
     std::int64_t publish_ns = -1;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> claimed{0};
-    std::mutex wait_mutex;
-    std::condition_variable done_cv;
-    std::mutex error_mutex;
+    /// The first error a chunk threw; written under the pool mutex.
     std::exception_ptr error;
-
-    void execute_chunks() {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) {
-          return;
-        }
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) {
-            error = std::current_exception();
-          }
-        }
-        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-          std::lock_guard<std::mutex> lock(wait_mutex);
-          done_cv.notify_all();
-        }
-      }
-    }
   };
 
   std::mutex mutex;
-  std::condition_variable job_cv;
+  std::condition_variable open_cv;  ///< a region opened, or the pool stops
+  std::condition_variable idle_cv;  ///< a region's last worker left it
   std::vector<std::thread> workers;
-  std::shared_ptr<Job> job;  ///< current region, null when idle
-  std::uint64_t job_seq = 0;
+  Region* region = nullptr;  ///< the open region, null when idle
   bool stop = false;
 
-  void worker_loop(std::uint64_t start_seq, std::size_t worker_index) {
+  void drain(Region& open) {
+    for (;;) {
+      const std::size_t i = open.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= open.count) {
+        return;
+      }
+      try {
+        open.fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!open.error) {
+          open.error = std::current_exception();
+        }
+      }
+    }
+  }
+
+  void worker_loop(std::size_t worker_index) {
     // The label is kept across enable/disable cycles, so traces recorded
     // later still attribute spans to "pool-worker-N".
     telemetry::set_thread_label("pool-worker-" + std::to_string(worker_index + 1));
-    std::uint64_t seen = start_seq;
+    // A worker only runs chunks, and a region issued from a chunk runs
+    // inline.
+    t_in_pool_worker = true;
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      job_cv.wait(lock, [&] { return stop || job_seq != seen; });
+      open_cv.wait(lock, [&] { return stop || (region != nullptr && region->seats > 0); });
       if (stop) {
         return;
       }
-      seen = job_seq;
-      std::shared_ptr<Job> current = job;
+      Region& joined = *region;
+      --joined.seats;
+      ++joined.active;
       lock.unlock();
-      if (current &&
-          current->claimed.fetch_add(1, std::memory_order_relaxed) < current->max_extra_workers) {
-        if (current->publish_ns >= 0 && telemetry::enabled()) {
-          // Wake-up latency between job submission and this worker joining.
-          telemetry::timer_add(
-              telemetry::Timer::kPoolQueueWait,
-              static_cast<std::uint64_t>(telemetry::detail::now_ns() - current->publish_ns));
-        }
-        t_in_pool_worker = true;
-        current->execute_chunks();
-        t_in_pool_worker = false;
+      if (joined.publish_ns >= 0 && telemetry::enabled()) {
+        // Wake-up latency between the region opening and this worker joining.
+        telemetry::timer_add(
+            telemetry::Timer::kPoolQueueWait,
+            static_cast<std::uint64_t>(telemetry::detail::now_ns() - joined.publish_ns));
       }
+      drain(joined);
       lock.lock();
+      // The cursor is exhausted: a worker joining now would find no chunk.
+      joined.seats = 0;
+      if (--joined.active == 0) {
+        idle_cv.notify_all();
+      }
     }
   }
 
   void spawn_locked(std::size_t how_many) {
     for (std::size_t i = 0; i < how_many; ++i) {
-      workers.emplace_back(
-          [this, seq = job_seq, index = workers.size()] { worker_loop(seq, index); });
+      workers.emplace_back([this, index = workers.size()] { worker_loop(index); });
     }
   }
 };
@@ -156,7 +161,7 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->stop = true;
   }
-  impl_->job_cv.notify_all();
+  impl_->open_cv.notify_all();
   for (std::thread& worker : impl_->workers) {
     worker.join();
   }
@@ -192,44 +197,35 @@ void ThreadPool::run(std::size_t chunk_count, const std::function<void(std::size
   }
 
   ensure_size(executors - 1);
-  auto job = std::make_shared<Impl::Job>();
-  job->fn = chunk_fn;
-  job->count = chunk_count;
-  job->max_extra_workers = executors - 1;
+  Impl::Region region(chunk_fn, chunk_count, executors - 1);
   if (telemetry::enabled()) {
-    job->publish_ns = telemetry::detail::now_ns();
+    region.publish_ns = telemetry::detail::now_ns();
   }
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->job = job;
-    ++impl_->job_seq;
+    impl_->region = &region;
   }
-  impl_->job_cv.notify_all();
+  impl_->open_cv.notify_all();
 
   // The caller is an executor too, and counts as a pool worker while it
   // drains chunks: a nested parallel region issued from its chunk must run
   // inline (like it would on any other worker) instead of re-entering the
-  // pool and displacing this job from the single job slot.
+  // pool and displacing this region from the pool's single slot.
   t_in_pool_worker = true;
-  job->execute_chunks();
+  impl_->drain(region);
   t_in_pool_worker = false;
 
   {
-    std::unique_lock<std::mutex> lock(job->wait_mutex);
-    job->done_cv.wait(lock, [&] {
-      return job->done.load(std::memory_order_acquire) == job->count;
-    });
-  }
-  {
-    // Detach the finished job so late-waking workers see an exhausted
-    // region at most (next > count) and do no work.
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (impl_->job == job) {
-      impl_->job = nullptr;
+    // Close the region, then wait for the workers inside it to leave:
+    // after that the caller alone owns the region and its error.
+    std::unique_lock<std::mutex> lock(impl_->mutex);
+    if (impl_->region == &region) {
+      impl_->region = nullptr;
     }
+    impl_->idle_cv.wait(lock, [&] { return region.active == 0; });
   }
-  if (job->error) {
-    std::rethrow_exception(job->error);
+  if (region.error) {
+    std::rethrow_exception(region.error);
   }
 }
 
@@ -260,7 +256,9 @@ void parallel_for(std::size_t count, std::size_t grain,
     }
     return;
   }
-  ThreadPool::shared().run(chunks, run_chunk);
+  // By reference: a std::function holding a reference_wrapper stores it
+  // inline, so a region that reaches the pool allocates nothing.
+  ThreadPool::shared().run(chunks, std::ref(run_chunk));
 }
 
 }  // namespace photherm::util

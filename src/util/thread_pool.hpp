@@ -77,9 +77,11 @@ class ThreadPool {
   /// chunk must never wait on a higher-indexed one, which may not be
   /// claimed until the waiter returns.
   ///
-  /// The pool holds a single job slot: results stay correct if two
+  /// The region lives on this call's stack, and every worker has left it
+  /// before `run` returns, so the rethrown error is the caller's alone.
+  /// The pool holds a single region slot: results stay correct if two
   /// application threads issue top-level regions concurrently (each caller
-  /// always drains its own job's cursor), but the later region takes the
+  /// always drains its own region's cursor), but the later region takes the
   /// workers and the earlier one degrades towards serial. Issue concurrent
   /// regions from one thread at a time — parallelism belongs inside a
   /// region, not across regions.

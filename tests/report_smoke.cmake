@@ -16,6 +16,10 @@
 #      with 3 ms and 4 ms children and a 2 ms grandchild under the 4 ms
 #      child) summarize must report each span's self time and the share of
 #      its wall its children cover.
+#   6. a bench JSON nested 50,000 arrays deep must be refused (exit 2)
+#      with a parse error, not overflow the stack.
+#   7. a non-finite value on either side of a diff (nan, inf) must violate
+#      a `fail` rule (exit 1) and a `warn` rule (a warning).
 
 foreach(var PHOTHERM_CLI PHOTHERM_REPORT RULES WORK_DIR)
   if(NOT DEFINED ${var})
@@ -33,7 +37,7 @@ function(run_cli)
 endfunction()
 
 # Run photherm_report expecting a specific exit code; stdout is returned in
-# `out_var` for shape assertions.
+# `out_var` and stderr in `<out_var>_err` for shape assertions.
 function(run_report expect_rv out_var)
   execute_process(COMMAND ${PHOTHERM_REPORT} ${ARGN}
                   RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -42,6 +46,7 @@ function(run_report expect_rv out_var)
                         "got ${rv}\nstdout:\n${out}\nstderr:\n${err}")
   endif()
   set(${out_var} "${out}" PARENT_SCOPE)
+  set(${out_var}_err "${err}" PARENT_SCOPE)
 endfunction()
 
 set(play_args play builtin:transient --dt 0.2 --periods 5)
@@ -131,3 +136,35 @@ foreach(expect "span\\.parent_10ms \\| +1 \\| +10 \\| +3 \\| +70 \\|"
                         "got:\n${sum_self}")
   endif()
 endforeach()
+
+# 6. Nesting far past any real artifact is a parse error naming the byte
+# where the bound was crossed, not a stack overflow (SIGSEGV).
+string(REPEAT "[" 50000 open_arrays)
+string(REPEAT "]" 50000 close_arrays)
+file(WRITE ${WORK_DIR}/deep.json "{\"benchmarks\":${open_arrays}${close_arrays}}")
+run_report(2 deep_out summarize ${WORK_DIR}/deep.json)
+if(NOT deep_out_err MATCHES "JSON parse error at byte [0-9]+: values nest too deeply")
+  message(FATAL_ERROR "deep JSON should be refused by the nesting bound; "
+                      "got:\n${deep_out_err}")
+endif()
+
+# 7. NaN compares false against any tolerance, and inf -> 100 has a NaN
+# relative change: both must violate the rule instead of reading `ok`.
+file(WRITE ${WORK_DIR}/drift_base.csv
+     "metric,kind,count,total\nnan.wall,timer,1,100\ninf.wall,timer,1,inf\n")
+file(WRITE ${WORK_DIR}/drift_cand.csv
+     "metric,kind,count,total\nnan.wall,timer,1,nan\ninf.wall,timer,1,100\n")
+file(WRITE ${WORK_DIR}/fail.rules "fail *.wall 0.1\n")
+file(WRITE ${WORK_DIR}/warn.rules "warn *.wall 0.1\n")
+run_report(1 fail_out diff ${WORK_DIR}/drift_base.csv ${WORK_DIR}/drift_cand.csv
+           --gate ${WORK_DIR}/fail.rules)
+if(NOT fail_out MATCHES "0 warnings, 2 regressions")
+  message(FATAL_ERROR "non-finite values should each fail a `fail` rule; "
+                      "got:\n${fail_out}")
+endif()
+run_report(0 warn_out diff ${WORK_DIR}/drift_base.csv ${WORK_DIR}/drift_cand.csv
+           --gate ${WORK_DIR}/warn.rules)
+if(NOT warn_out MATCHES "2 warnings, 0 regressions")
+  message(FATAL_ERROR "non-finite values should each warn under a `warn` rule; "
+                      "got:\n${warn_out}")
+endif()

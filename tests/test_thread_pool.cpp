@@ -6,9 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -198,6 +200,49 @@ TEST(ThreadPool, RunExecutesAllChunksAndRethrows) {
     }
   }),
                Error);
+}
+
+TEST(ThreadPool, ChunkErrorsStayOwnedByTheCaller) {
+  // Every chunk throws, so the error each region rethrows may come from a
+  // worker. Once run() returns no worker may still own that error: one
+  // that did could destroy the exception while the caller's catch reads
+  // it, which ThreadSanitizer reports as a race on the message.
+  ScopedConcurrency budget(4);
+  for (int region = 0; region < 10'000; ++region) {
+    try {
+      parallel_for(8, 1, [](std::size_t begin, std::size_t) {
+        throw Error("chunk " + std::to_string(begin) + " failed");
+      });
+      FAIL() << "region " << region << " did not rethrow";
+    } catch (const Error& e) {
+      ASSERT_NE(std::string(e.what()).find(" failed"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCompleteTheirOwnRegions) {
+  // Two application threads open regions at once, so each keeps displacing
+  // the other's region from the pool's single slot. Every region must still
+  // run each of its chunks exactly once and return.
+  ScopedConcurrency budget(4);
+  constexpr int kRegions = 1'000;
+  constexpr std::size_t kChunks = 16;
+  const auto issue_regions = [](std::size_t& exactly_once) {
+    for (int region = 0; region < kRegions; ++region) {
+      std::array<std::atomic<int>, kChunks> hits{};
+      parallel_for(kChunks, 1, [&](std::size_t b, std::size_t) { hits[b].fetch_add(1); });
+      for (const std::atomic<int>& h : hits) {
+        exactly_once += h.load() == 1 ? 1 : 0;
+      }
+    }
+  };
+  std::size_t other_count = 0;
+  std::size_t own_count = 0;
+  std::thread other(issue_regions, std::ref(other_count));
+  issue_regions(own_count);
+  other.join();
+  EXPECT_EQ(other_count, kRegions * kChunks);
+  EXPECT_EQ(own_count, kRegions * kChunks);
 }
 
 TEST(ThreadPool, DoesNotSpawnMoreWorkersThanChunks) {

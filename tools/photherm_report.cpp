@@ -214,8 +214,13 @@ class JsonParser {
     }
   }
 
-  JsonValue parse_value() {
+  /// Nesting bound far above the 4 levels of any artifact this tool reads;
+  /// it keeps a hostile file from exhausting the stack through recursion.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  JsonValue parse_value(std::size_t depth = 0) {
     skip_ws();
+    require(depth <= kMaxDepth, "values nest too deeply");
     const char ch = peek();
     JsonValue value;
     if (ch == '{') {
@@ -231,7 +236,7 @@ class JsonParser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        value.members.emplace_back(std::move(key), parse_value());
+        value.members.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           expect(',');
@@ -250,7 +255,7 @@ class JsonParser {
         return value;
       }
       while (true) {
-        value.items.push_back(parse_value());
+        value.items.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           expect(',');
@@ -680,7 +685,10 @@ int cmd_diff(const std::vector<std::string>& args) {
          << format_shortest(b) << " -> " << format_shortest(c);
       annotations.push_back(os.str());
     } else if (action == GateRule::Action::kFail || action == GateRule::Action::kWarn) {
-      const bool violated = !has_rel || std::abs(rel) > rule->tolerance;
+      // NaN compares false against any tolerance, so a non-finite value on
+      // either side violates the rule outright.
+      const bool violated = !has_rel || !std::isfinite(b) || !std::isfinite(c) ||
+                            std::abs(rel) > rule->tolerance;
       if (violated && action == GateRule::Action::kFail) {
         verdict = "REGRESS";
         ++regressions;
