@@ -4,7 +4,9 @@
 /// preconditioned solvers swept over preconditioner kind x operator kind,
 /// assembly, and the transient hot path: repeated warm-started solves
 /// against a fixed stepping operator, where the preconditioner caching and
-/// the Chebyshev rebuild economics actually show up.
+/// the Chebyshev rebuild economics actually show up. Every solve runs
+/// `math::SolverOptions{}` apart from the preconditioner a sweep picks, so
+/// the exactly gated `iters` counters are what a workload's solve takes.
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -163,8 +163,7 @@ std::string ThermalAwareDesigner::global_scene_key() const {
   }
 
   const thermal::TwoLevelOptions options = two_level_options();
-  os << "mesh:" << options.global_mesh.background_material << '|'
-     << options.global_mesh.max_cells << '|';
+  os << "mesh:" << options.global_mesh.max_cells << '|';
   num(options.global_mesh.default_max_cell_xy);
   num(options.global_mesh.default_max_cell_z);
   num(options.global_mesh.min_feature_size_xy);

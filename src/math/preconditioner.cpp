@@ -443,11 +443,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
       d[i] = inv_diag_[i] * r[i] / theta;
     }
   };
-  if (n < util::kSerialCutoff) {
-    first(0, n);
-  } else {
-    util::parallel_for(n, util::kKernelGrain, first);
-  }
+  util::kernel_for(n, first);
   z = d;
   if (degree_ == 1) {
     return;
@@ -469,11 +465,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
         z[i] += d[i];
       }
     };
-    if (n < util::kSerialCutoff) {
-      update(0, n);
-    } else {
-      util::parallel_for(n, util::kKernelGrain, update);
-    }
+    util::kernel_for(n, update);
     rho = rho_next;
   }
 }
@@ -486,15 +478,6 @@ const char* to_string(PreconditionerKind kind) {
       return "chebyshev";
   }
   return "unknown";
-}
-
-PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
-  for (PreconditionerKind kind : {PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
-    if (name == to_string(kind)) {
-      return kind;
-    }
-  }
-  throw Error("unknown preconditioner `" + name + "` (expected ilu0 or chebyshev)");
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "math/csr_matrix.hpp"
 #include "math/linear_operator.hpp"
@@ -167,7 +166,6 @@ class ChebyshevPreconditioner final : public Preconditioner {
 enum class PreconditionerKind { kIlu0, kChebyshev };
 
 const char* to_string(PreconditionerKind kind);
-PreconditionerKind preconditioner_kind_from_string(const std::string& name);
 
 /// Build a preconditioner of `kind` for `a`. Both kinds build on a
 /// StencilOperator7; ILU(0) also builds on CSR sparsity and throws an Error

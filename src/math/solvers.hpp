@@ -11,21 +11,18 @@
 
 namespace photherm::math {
 
+/// The one CG configuration the pipeline solves with: the steady coarse and
+/// window passes, the transient steps and the timeline's steady reference
+/// all take `SolverOptions{}` (the reference tightens `rel_tolerance` only
+/// under a settle tolerance its noise would swamp). CG stops once its
+/// recursive residual reaches `rel_tolerance`, gives up after a fixed cap
+/// of 20,000 iterations, and throws SolverError unless the final true
+/// residual is within 10 x `rel_tolerance` (solvers.cpp says why).
 struct SolverOptions {
-  double rel_tolerance = 1e-9;   ///< on ||r|| / ||b||
-  std::size_t max_iterations = 20000;
+  double rel_tolerance = 1e-10;  ///< on ||r|| / ||b||
   PreconditionerKind preconditioner = PreconditionerKind::kIlu0;
   /// Used only when `preconditioner == kChebyshev`.
   ChebyshevSettings chebyshev;
-  bool throw_on_failure = true;  ///< if false, return best-effort result
-  /// Multiplier (>= 1) on `rel_tolerance` when the final true residual is
-  /// judged for `SolverResult::converged`. The default of 1 reports against
-  /// exactly the tolerance the caller requested. Krylov iterations track a
-  /// *recursive* residual that can drift a little from the true
-  /// ||b - A x||, so callers that restart solves with warm starts (the FVM
-  /// stack) opt into a small explicit slack instead of the old behaviour of
-  /// silently accepting 10x the requested tolerance.
-  double convergence_slack = 1.0;
   /// Capture the per-iteration recursive relative residual (||r|| / ||b||
   /// at the top of each CG iteration, including the final accepted
   /// check) into SolverResult::convergence, and — when telemetry is
@@ -39,6 +36,8 @@ struct SolverOptions {
 };
 
 struct SolverResult {
+  /// True on every return: CG throws SolverError instead of returning an
+  /// unconverged result.
   bool converged = false;
   std::size_t iterations = 0;
   double residual_norm = 0.0;    ///< final ||b - A x||
@@ -54,7 +53,8 @@ struct SolverResult {
 /// initial guess if and only if `x.size()` already equals the system size;
 /// any other size (including empty) is reset to the zero vector. A
 /// correctly sized vector is therefore never silently truncated or padded
-/// with stale entries. `x` receives the solution.
+/// with stale entries. `x` receives the solution, or the last iterate when
+/// CG throws SolverError.
 
 /// Preconditioned conjugate gradient. Builds the preconditioner named by
 /// `options.preconditioner` for this solve.

@@ -102,11 +102,7 @@ void StencilOperator7::apply(const Vector& x, Vector& y) const {
   PH_REQUIRE(x.size() == n_, "stencil apply: x size mismatch");
   telemetry::count(telemetry::Counter::kSpmvStencil);
   y.resize(n_);
-  if (n_ < util::kSerialCutoff) {
-    apply_rows(x, y, 0, n_);
-    return;
-  }
-  util::parallel_for(n_, util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+  util::kernel_for(n_, [&](std::size_t begin, std::size_t end) {
     apply_rows(x, y, begin, end);
   });
 }
@@ -125,11 +121,7 @@ double StencilOperator7::apply_dot(const Vector& x, Vector& y) const {
     }
     return acc;
   };
-  if (n_ < util::kSerialCutoff) {
-    return rows_dot(0, n_);
-  }
-  return util::parallel_reduce(n_, util::kKernelGrain, 0.0, rows_dot,
-                               [](double acc, double p) { return acc + p; });
+  return util::kernel_reduce(n_, 0.0, rows_dot, [](double acc, double p) { return acc + p; });
 }
 
 std::unique_ptr<LinearOperator> StencilOperator7::clone() const {

@@ -4,11 +4,11 @@
 ///
 /// Vectors below `util::kSerialCutoff` elements take the straight serial
 /// path; larger ones dispatch chunks onto the shared thread pool within
-/// the `util::concurrency()` budget. The reductions (`dot`, `norm2`,
-/// `dot_pair`) accumulate fixed-size per-chunk partials and sum them in
-/// chunk order, so their result depends only on the vector size — never on
-/// the thread count — and every solver trajectory is bit-reproducible at 1,
-/// 2 or N threads.
+/// the `util::concurrency()` budget (`util::kernel_for`, `kernel_reduce`).
+/// The reductions (`dot`, `norm2`, `dot_pair`) accumulate fixed-size
+/// per-chunk partials and sum them in chunk order, so their result depends
+/// only on the vector size — never on the thread count — and every solver
+/// trajectory is bit-reproducible at 1, 2 or N threads.
 ///
 /// `dot_pair` and `cg_update` fuse the vector passes of a CG iteration
 /// (r·z with r·r, and the x/r updates) into one loop and one pool region
@@ -28,16 +28,8 @@ using Vector = std::vector<double>;
 
 inline double dot(const Vector& a, const Vector& b) {
   PH_REQUIRE(a.size() == b.size(), "dot: size mismatch");
-  const std::size_t n = a.size();
-  if (n < util::kSerialCutoff) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += a[i] * b[i];
-    }
-    return acc;
-  }
-  return util::parallel_reduce(
-      n, util::kKernelGrain, 0.0,
+  return util::kernel_reduce(
+      a.size(), 0.0,
       [&](std::size_t begin, std::size_t end) {
         double acc = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
@@ -61,35 +53,24 @@ struct DotPair {
 /// separate calls; the two add chains just run side by side.
 inline DotPair dot_pair(const Vector& a, const Vector& b) {
   PH_REQUIRE(a.size() == b.size(), "dot_pair: size mismatch");
-  const std::size_t n = a.size();
-  auto chunk = [&](std::size_t begin, std::size_t end) {
-    double ab = 0.0;
-    double aa = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      ab += a[i] * b[i];
-      aa += a[i] * a[i];
-    }
-    return DotPair{ab, aa};
-  };
-  if (n < util::kSerialCutoff) {
-    return chunk(0, n);
-  }
-  return util::parallel_reduce(n, util::kKernelGrain, DotPair{0.0, 0.0}, chunk,
-                               [](DotPair acc, DotPair p) {
-                                 return DotPair{acc.ab + p.ab, acc.aa + p.aa};
-                               });
+  return util::kernel_reduce(
+      a.size(), DotPair{0.0, 0.0},
+      [&](std::size_t begin, std::size_t end) {
+        double ab = 0.0;
+        double aa = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          ab += a[i] * b[i];
+          aa += a[i] * a[i];
+        }
+        return DotPair{ab, aa};
+      },
+      [](DotPair acc, DotPair p) { return DotPair{acc.ab + p.ab, acc.aa + p.aa}; });
 }
 
 /// y += alpha * x
 inline void axpy(double alpha, const Vector& x, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  if (x.size() < util::kSerialCutoff) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      y[i] += alpha * x[i];
-    }
-    return;
-  }
-  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+  util::kernel_for(x.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       y[i] += alpha * x[i];
     }
@@ -99,13 +80,7 @@ inline void axpy(double alpha, const Vector& x, Vector& y) {
 /// y = x + beta * y
 inline void xpby(const Vector& x, double beta, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "xpby: size mismatch");
-  if (x.size() < util::kSerialCutoff) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      y[i] = x[i] + beta * y[i];
-    }
-    return;
-  }
-  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+  util::kernel_for(x.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       y[i] = x[i] + beta * y[i];
     }
@@ -118,17 +93,12 @@ inline void cg_update(double alpha, const Vector& p, const Vector& ap, Vector& x
   PH_REQUIRE(ap.size() == p.size() && x.size() == p.size() && r.size() == p.size(),
              "cg_update: size mismatch");
   const double neg_alpha = -alpha;
-  auto body = [&](std::size_t begin, std::size_t end) {
+  util::kernel_for(p.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       x[i] += alpha * p[i];
       r[i] += neg_alpha * ap[i];
     }
-  };
-  if (p.size() < util::kSerialCutoff) {
-    body(0, p.size());
-    return;
-  }
-  util::parallel_for(p.size(), util::kKernelGrain, body);
+  });
 }
 
 }  // namespace photherm::math

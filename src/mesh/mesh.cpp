@@ -79,7 +79,8 @@ RectilinearMesh RectilinearMesh::build(const Scene& scene, const Box3& domain,
   PH_LOG_DEBUG << "mesh: " << mesh.nx() << " x " << mesh.ny() << " x " << mesh.nz() << " = " << n
                << " cells";
 
-  const geometry::MaterialId background = mesh.materials_lib_.id_of(options.background_material);
+  // Cells no block covers are air.
+  const geometry::MaterialId background = mesh.materials_lib_.id_of("air");
   mesh.materials_.assign(n, background.index);
   mesh.power_.assign(n, 0.0);
 

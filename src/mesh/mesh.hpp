@@ -24,7 +24,6 @@ struct MeshOptions {
   double default_max_cell_xy = 500e-6;  ///< package-scale resolution
   double default_max_cell_z = 0.0;      ///< 0 = layers only (block faces)
   std::vector<RefinementBox> refinements;
-  std::string background_material = "air";
   std::size_t max_cells = 40'000'000;   ///< safety limit
 
   /// Blocks narrower than this on x/y contribute no x/y mesh ticks (their

@@ -21,15 +21,6 @@ SccBuilder& SccBuilder::set_activity(power::ActivityKind kind, double total_powe
   PH_REQUIRE(total_power >= 0.0, "chip power must be non-negative");
   activity_ = kind;
   total_power_ = total_power;
-  explicit_tile_powers_.clear();
-  return *this;
-}
-
-SccBuilder& SccBuilder::set_tile_powers(std::vector<double> tile_powers) {
-  PH_REQUIRE(tile_powers.size() == config_.tiles_x * config_.tiles_y,
-             "tile power vector must match the tile grid");
-  explicit_tile_powers_ = std::move(tile_powers);
-  activity_.reset();
   return *this;
 }
 
@@ -95,9 +86,7 @@ SccSystem SccBuilder::build() const {
   const power::TileGrid tiles(Box3::make({0, 0, z.heat_lo}, {config_.die_x, config_.die_y, z.heat_hi}),
                               config_.tiles_x, config_.tiles_y);
   std::vector<double> tile_powers;
-  if (!explicit_tile_powers_.empty()) {
-    tile_powers = explicit_tile_powers_;
-  } else if (activity_) {
+  if (activity_) {
     Rng rng(seed_);
     tile_powers = power::generate_activity(tiles, *activity_, total_power_, rng);
   } else {

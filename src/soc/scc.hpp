@@ -80,9 +80,6 @@ class SccBuilder {
   /// Total chip power distributed by `kind` over the tiles.
   SccBuilder& set_activity(power::ActivityKind kind, double total_power);
 
-  /// Explicit per-tile powers (size = tiles_x * tiles_y).
-  SccBuilder& set_tile_powers(std::vector<double> tile_powers);
-
   /// Seed for the random activity.
   SccBuilder& set_seed(std::uint64_t seed);
 
@@ -102,7 +99,6 @@ class SccBuilder {
   OniLayoutParams oni_layout_;
   std::optional<power::ActivityKind> activity_;
   double total_power_ = 0.0;
-  std::vector<double> explicit_tile_powers_;
   std::uint64_t seed_ = 1;
   std::vector<geometry::Vec3> oni_centers_;
   OniPowerConfig oni_power_;

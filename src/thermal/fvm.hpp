@@ -58,15 +58,6 @@ struct SteadyStateOptions {
   /// The stencil skips the CSR triplet sort in assembly and pairs with the
   /// stencil-native ILU(0) (the default preconditioner).
   OperatorKind operator_kind = OperatorKind::kStencil;
-  SteadyStateOptions() {
-    solver.rel_tolerance = 1e-10;
-    // CG tracks a recursive residual; after many iterations (and across the
-    // warm-started two-level restarts) the true ||b - A x|| can sit
-    // slightly above the iteration's exit criterion. Accept up to 10x the
-    // (already very tight) tolerance explicitly rather than failing solves
-    // whose fields are converged far beyond the physics' needs.
-    solver.convergence_slack = 10.0;
-  }
 };
 
 /// Solve the steady-state problem. Throws SolverError if CG fails (an

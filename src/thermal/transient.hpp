@@ -27,12 +27,6 @@ struct TransientOptions {
   /// warm-start savings; results agree within the solver tolerance but are
   /// not bit-identical.
   bool warm_start = true;
-  TransientOptions() {
-    solver.rel_tolerance = 1e-10;
-    // Warm-started per-step solves: same explicit recursive-vs-true residual
-    // slack as SteadyStateOptions (see fvm.hpp).
-    solver.convergence_slack = 10.0;
-  }
 };
 
 /// Cumulative per-solver stepping statistics (for benches and the timeline

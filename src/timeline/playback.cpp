@@ -36,6 +36,11 @@ constexpr double kMaxGrowthFactor = 64.0;
 /// steps instead of O(horizon / dt).
 constexpr double kAdaptiveContraction = 0.5;
 
+/// The step also grows whenever one step moves the field by less than this
+/// fraction of PlaybackOptions::settle_tolerance: crawling relative to what
+/// "settled" means.
+constexpr double kAdaptiveFloorFraction = 0.25;
+
 /// Step multiplier per adaptive growth. Growth is attempted at period
 /// boundaries only, so the reassembly cost stays O(log) in the total
 /// growth factor.
@@ -158,7 +163,7 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   // on top of the freshly derived grid.
   PH_REQUIRE(checkpoint.step_in_period < timeline_.steps_per_period(),
              "checkpoint step offset is outside the period");
-  step_in_period_ = checkpoint.step_in_period;
+  seek(checkpoint.step_in_period);
   in_tolerance_run_ = checkpoint.in_tolerance_run;
   last_step_delta_ = checkpoint.last_step_delta;
   trace_.final_time_step = dt_;
@@ -293,14 +298,6 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   const std::size_t spp = timeline_.steps_per_period();
   PH_REQUIRE(spp >= 1, "timeline has no steps");
 
-  step_segment_.assign(spp, 0);
-  std::size_t step = 0;
-  for (std::size_t s = 0; s < timeline_.segments.size(); ++s) {
-    for (std::size_t k = 0; k < timeline_.segments[s].steps; ++k) {
-      step_segment_[step++] = s;
-    }
-  }
-
   // Precompute one power vector per segment: phase changes then cost a
   // vector swap in the solver's rhs, never a matrix reassembly.
   const std::size_t n = mesh_->cell_count();
@@ -318,7 +315,7 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   // A new grid resets the detectors and the field history: the settle
   // hold, the cycle-over-cycle comparison and the same-phase increment are
   // all defined per period of one grid.
-  step_in_period_ = 0;
+  seek(0);
   in_tolerance_run_ = 0;
   cycle_count_ = 0;
   cycle_hold_ = 0;
@@ -341,6 +338,16 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   history_.push(solver_->state().temperatures());
 }
 
+void Playback::seek(std::size_t step_in_period) {
+  step_in_period_ = step_in_period;
+  segment_ = 0;
+  step_in_segment_ = step_in_period;
+  while (step_in_segment_ >= timeline_.segments[segment_].steps) {
+    step_in_segment_ -= timeline_.segments[segment_].steps;
+    segment_ += 1;
+  }
+}
+
 void Playback::maybe_grow_dt() {
   if (!options_.adaptive || trace_.step_count() == 0 || finished_) {
     return;
@@ -349,11 +356,8 @@ void Playback::maybe_grow_dt() {
   // absolute rate that matters near settle) or by less than a fraction of
   // the distance still to cover (which keeps the contraction geometric
   // while the field is far away).
-  const double floor_threshold = options_.adaptive_threshold > 0.0
-                                     ? options_.adaptive_threshold
-                                     : 0.25 * options_.settle_tolerance;
-  const double threshold =
-      std::max(floor_threshold, kAdaptiveContraction * trace_.final_delta);
+  const double threshold = std::max(kAdaptiveFloorFraction * options_.settle_tolerance,
+                                    kAdaptiveContraction * trace_.final_delta);
   if (last_step_delta_ > threshold) {
     return;
   }
@@ -413,10 +417,9 @@ void Playback::update_periodic(const math::Vector& temperatures) {
 
 void Playback::step_once() {
   const std::size_t spp = timeline_.steps_per_period();
-  const std::size_t segment = step_segment_[step_in_period_];
-  if (segment != current_segment_) {
-    solver_->set_power(segment_power_[segment]);
-    current_segment_ = segment;
+  if (segment_ != current_segment_) {
+    solver_->set_power(segment_power_[segment_]);
+    current_segment_ = segment_;
   }
   // Same-phase prediction once the history holds T_{n-P} ... T_n.
   const bool predict = options_.warm_start && history_.size() == history_.capacity();
@@ -433,7 +436,7 @@ void Playback::step_once() {
   const thermal::ThermalField& field = predict ? solver_->step(guess_) : solver_->step();
   telemetry::count(telemetry::Counter::kPlaybackSteps);
   trace_.times.push_back(solver_->time());
-  trace_.power_scale.push_back(timeline_.segments[segment].scale);
+  trace_.power_scale.push_back(timeline_.segments[segment_].scale);
   trace_.cg_iterations.push_back(solver_->last_solve().iterations);
   trace_.samples.push_back(probes_->sample(field));
   trace_.stats = stats_offset_ + solver_->stats();
@@ -466,8 +469,13 @@ void Playback::step_once() {
   }
 
   step_in_period_ += 1;
+  step_in_segment_ += 1;
+  if (step_in_segment_ == timeline_.segments[segment_].steps) {
+    step_in_segment_ = 0;
+    segment_ += 1;
+  }
   if (step_in_period_ == spp) {
-    step_in_period_ = 0;
+    seek(0);
   }
   if ((trace_.settled || trace_.periodic_steady) && options_.stop_on_settle) {
     finished_ = true;

@@ -88,20 +88,15 @@ struct PlaybackOptions {
   /// which only measures the warm-start payoff.
   bool warm_start = true;
   /// Solver knobs for both the per-step solves and the steady reference.
-  /// Defaults to TransientOptions' tolerances.
-  math::SolverOptions solver = thermal::TransientOptions{}.solver;
+  math::SolverOptions solver;
 
-  /// Grow the time step while the field crawls (see file comment). Off by
+  /// Grow the time step while the field crawls (see file comment): while
+  /// the per-step state change stays below settle_tolerance / 4, or below
+  /// half the remaining distance to the steady reference. Each growth
+  /// doubles the step, at a period boundary, up to 64 * time_step. Off by
   /// default: the fixed grid is what golden traces and time-resolution
   /// studies want.
   bool adaptive = false;
-  /// Floor on the per-step state change [degC] below which the step may
-  /// grow; 0 picks settle_tolerance / 4 (crawling relative to what
-  /// "settled" means). Independent of the floor, the step also grows
-  /// whenever one step covers less than half the remaining distance to
-  /// the steady reference, which keeps the approach geometric. Each growth
-  /// doubles the step, at a period boundary, up to 64 * time_step.
-  double adaptive_threshold = 0.0;
 
   /// Relative period-error bound handed to compile_timeline, and the bound
   /// adaptive growth must respect when re-quantizing a multi-scale
@@ -236,6 +231,7 @@ class Playback {
   void build_scene(const scenario::ScenarioSpec& spec);
   void solve_steady_reference(const PowerTimeline& base_timeline);
   void adopt_timeline(PowerTimeline timeline);
+  void seek(std::size_t step_in_period);
   void maybe_grow_dt();
   void step_once();
   void update_periodic(const math::Vector& temperatures);
@@ -273,13 +269,16 @@ class Playback {
   math::Vector steady_reference_;
 
   PowerTimeline timeline_;                  ///< current grid
-  std::vector<std::size_t> step_segment_;   ///< step-in-period -> segment
   std::vector<math::Vector> segment_power_; ///< per-segment rhs power
   std::size_t current_segment_ = static_cast<std::size_t>(-1);
   double dt_ = 0.0;
   double horizon_time_ = 0.0;  ///< max_periods * initial period [s]
 
+  /// The next step's place on the grid: its offset in the period, and the
+  /// segment it plays with its offset in that segment.
   std::size_t step_in_period_ = 0;
+  std::size_t segment_ = 0;
+  std::size_t step_in_segment_ = 0;
   std::size_t in_tolerance_run_ = 0;
   double last_step_delta_ = 0.0;
 

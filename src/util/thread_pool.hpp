@@ -149,4 +149,28 @@ inline constexpr std::size_t kSerialCutoff = 16384;
 /// Elements per chunk for the math kernels once they go parallel.
 inline constexpr std::size_t kKernelGrain = 8192;
 
+/// The math kernels' one threading decision: `body(0, count)` inline below
+/// kSerialCutoff elements, else `parallel_for(count, kKernelGrain, body)`.
+template <typename Body>
+inline void kernel_for(std::size_t count, const Body& body) {
+  if (count < kSerialCutoff) {
+    body(0, count);
+    return;
+  }
+  parallel_for(count, kKernelGrain, body);
+}
+
+/// kernel_for's reduction: below kSerialCutoff the one partial
+/// `chunk_fn(0, count)` is the result as it stands, never folded into
+/// `init` (0.0 + -0.0 would turn a -0.0 sum into +0.0), else
+/// `parallel_reduce(count, kKernelGrain, init, chunk_fn, combine)`.
+template <typename T, typename ChunkFn, typename CombineFn>
+inline T kernel_reduce(std::size_t count, T init, const ChunkFn& chunk_fn,
+                       const CombineFn& combine) {
+  if (count < kSerialCutoff) {
+    return chunk_fn(0, count);
+  }
+  return parallel_reduce(count, kKernelGrain, init, chunk_fn, combine);
+}
+
 }  // namespace photherm::util

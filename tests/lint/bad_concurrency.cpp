@@ -28,4 +28,19 @@ inline void drain(util::ThreadPool& pool, std::vector<double>& queue, double& la
   });
 }
 
+// The math kernels' dispatch helpers run their chunks on the pool too.
+inline double peak_and_total(const std::vector<double>& cells, double& peak) {
+  util::kernel_for(cells.size(), [&](std::size_t begin, std::size_t end) {
+    peak = cells[begin];  // every chunk writes the one shared result
+  });
+  double last = 0.0;
+  return util::kernel_reduce(
+      cells.size(), 0.0,
+      [&](std::size_t begin, std::size_t end) {
+        last = cells[end - 1];  // ditto, from a reduction's chunk
+        return cells[begin];
+      },
+      [](double acc, double p) { return acc + p; });
+}
+
 }  // namespace photherm

@@ -20,6 +20,9 @@
 #      with a parse error, not overflow the stack.
 #   7. a non-finite value on either side of a diff (nan, inf) must violate
 #      a `fail` rule (exit 1) and a `warn` rule (a warning).
+#   8. bench JSON numbers follow the JSON grammar plus the non-finite
+#      spellings the emitters write: `0x10`, `infinity`, `+1`, `.5`, `1.`
+#      and `01` are refused (exit 2) with a parse error naming the byte.
 
 foreach(var PHOTHERM_CLI PHOTHERM_REPORT RULES WORK_DIR)
   if(NOT DEFINED ${var})
@@ -168,3 +171,24 @@ if(NOT warn_out MATCHES "2 warnings, 0 regressions")
   message(FATAL_ERROR "non-finite values should each warn under a `warn` rule; "
                       "got:\n${warn_out}")
 endif()
+
+# 8. Only JSON numbers load as numbers: a token strtod would also read is a
+# parse error naming the first byte that breaks the grammar (the value
+# starts at byte 42), not a value.
+foreach(token inf -inf nan -nan NaN Infinity -Infinity 0 -0.5 1e-3 2E+8)
+  file(WRITE ${WORK_DIR}/number.json
+       "{\"benchmarks\":[{\"name\":\"BM_x\",\"real_time\":${token},\"cpu_time\":1}]}")
+  run_report(0 number_out summarize ${WORK_DIR}/number.json)
+endforeach()
+foreach(case 0x10:43 infinity:45 +1:42 .5:42 1.:44 01:43)
+  string(REPLACE ":" ";" case "${case}")
+  list(GET case 0 token)
+  list(GET case 1 byte)
+  file(WRITE ${WORK_DIR}/number.json
+       "{\"benchmarks\":[{\"name\":\"BM_x\",\"real_time\":${token},\"cpu_time\":1}]}")
+  run_report(2 number_out summarize ${WORK_DIR}/number.json)
+  if(NOT number_out_err MATCHES "JSON parse error at byte ${byte}: ")
+    message(FATAL_ERROR "`${token}` should be refused at byte ${byte}; "
+                        "got:\n${number_out_err}")
+  endif()
+endforeach()

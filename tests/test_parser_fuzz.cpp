@@ -1,6 +1,7 @@
 /// Deterministic mutation fuzzing of the two text formats a user hands to
-/// the CLI: scenario suites (scenario::parse_scenarios) and playback
-/// checkpoints (timeline::parse_checkpoints). Each mutant of a valid
+/// the CLI, scenario suites (scenario::parse_scenarios) and playback
+/// checkpoints (timeline::parse_checkpoints), and of the bench and trace
+/// JSON photherm_report reads (report::parse_json). Each mutant of a valid
 /// serialized input must either parse or throw photherm::Error — never
 /// crash, read out of bounds or throw anything else — and a mutant that
 /// parses must reach a fixed point: serializing it, parsing that text and
@@ -12,11 +13,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "report/json.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "timeline/checkpoint.hpp"
@@ -198,6 +202,77 @@ TEST(ParserFuzz, CheckpointMutantsParseOrThrowAndReachAFixedPoint) {
   const FuzzCounts counts = fuzz(text, 400, 0xc4ec4b01, parse, serialize);
   EXPECT_GT(counts.parsed, 40u);
   EXPECT_GT(counts.rejected, 40u);
+}
+
+/// JSON text of a parsed value, numbers in format_shortest: the reader's
+/// inverse, so a parsed mutant can be checked for a fixed point.
+std::string write_json(const report::JsonValue& value) {
+  using Kind = report::JsonValue::Kind;
+  const auto quote = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char ch : text) {
+      if (ch == '"' || ch == '\\') {
+        out.push_back('\\');
+      }
+      out.push_back(ch);
+    }
+    return out + "\"";
+  };
+  switch (value.kind) {
+    case Kind::kNull:
+      return "null";
+    case Kind::kBool:
+      return value.boolean ? "true" : "false";
+    case Kind::kNumber:
+      return format_shortest(value.number);
+    case Kind::kString:
+      return quote(value.text);
+    case Kind::kArray: {
+      std::vector<std::string> items;
+      for (const report::JsonValue& item : value.items) {
+        items.push_back(write_json(item));
+      }
+      return std::string("[").append(join(items, ",")).append("]");
+    }
+    case Kind::kObject: {
+      std::vector<std::string> members;
+      for (const auto& [key, member] : value.members) {
+        members.push_back(quote(key) + ":" + write_json(member));
+      }
+      return std::string("{").append(join(members, ",")).append("}");
+    }
+  }
+  return "";
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(ParserFuzz, ReportJsonMutantsParseOrThrowAndReachAFixedPoint) {
+  const auto parse = [](const std::string& t) { return report::parse_json(t, "mutant"); };
+  // The committed solver bench baseline (Google-Benchmark shape) and the
+  // hand-written trace photherm_report_smoke summarizes.
+  const struct {
+    const char* path;
+    std::uint64_t seed;
+  } corpora[] = {{"/../BENCH_solver.json", 0x6be4c501},
+                 {"/report/self_time_trace.json", 0x7ace1d02}};
+  for (const auto& corpus : corpora) {
+    SCOPED_TRACE(corpus.path);
+    const std::string text = read_text(std::string(PHOTHERM_TESTS_DIR) + corpus.path);
+    ASSERT_FALSE(text.empty());
+    const std::string written = write_json(parse(text));
+    ASSERT_EQ(write_json(parse(written)), written);
+
+    const FuzzCounts counts = fuzz(text, 2000, corpus.seed, parse, write_json);
+    EXPECT_GT(counts.parsed, 200u);
+    EXPECT_GT(counts.rejected, 200u);
+  }
 }
 
 }  // namespace

@@ -31,16 +31,6 @@ TEST(SccBuilder, UniformActivityPower) {
   EXPECT_EQ(system.onis.size(), 0u);
 }
 
-TEST(SccBuilder, ExplicitTilePowers) {
-  SccBuilder builder;
-  std::vector<double> powers(24, 0.0);
-  powers[5] = 10.0;
-  builder.set_tile_powers(powers);
-  const SccSystem system = builder.build();
-  EXPECT_NEAR(system.scene.total_power(), 10.0, 1e-12);
-  EXPECT_THROW(builder.set_tile_powers({1.0, 2.0}), Error);
-}
-
 TEST(SccBuilder, OniPlacementAndPower) {
   SccBuilder builder;
   OniPowerConfig power;

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -364,7 +365,9 @@ TEST(Stencil, FromCsrRejectsAsymmetricCoupling) {
     } catch (const Error& e) {
       const std::string what = e.what();
       const auto entry = [](std::size_t r, std::size_t c) {
-        return "(" + std::to_string(r) + ", " + std::to_string(c) + ")";
+        std::ostringstream os;
+        os << "(" << r << ", " << c << ")";
+        return os.str();
       };
       EXPECT_NE(what.find(entry(i, j)), std::string::npos) << what;
       EXPECT_NE(what.find(entry(j, i)), std::string::npos) << what;

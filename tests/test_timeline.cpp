@@ -473,7 +473,9 @@ TEST(TimelineAdaptive, GrowthRespectsThePeriodBoundOnBurstSchedules) {
   options.max_periods = 6;
   options.stop_on_settle = false;
   options.adaptive = true;
-  options.adaptive_threshold = 1e9;  // always "crawling": growth every period
+  // Growth floor settle_tolerance / 4 = 1e9: always "crawling", so growth
+  // is tried every period.
+  options.settle_tolerance = 4e9;
   options.max_period_error = 0.05;
 
   const timeline::TimelineTrace trace = timeline::play_scenario(s, options);
@@ -720,7 +722,7 @@ TEST(TimelineCheckpoint, ResumeAcrossAdaptiveGrowthIsBitIdentical) {
   burst_options.max_periods = 6;
   burst_options.stop_on_settle = false;
   burst_options.adaptive = true;
-  burst_options.adaptive_threshold = 1e9;
+  burst_options.settle_tolerance = 4e9;
   burst_options.max_period_error = 0.05;
   const timeline::TimelineTrace burst_full = timeline::play_scenario(burst, burst_options);
   ASSERT_EQ(burst_full.dt_growths, 1u);

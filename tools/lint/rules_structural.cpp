@@ -89,7 +89,8 @@ std::string module_of(const SourceFile& file, const Config& config) {
 
 /// Entry points whose inline lambda arguments run concurrently.
 bool parallel_entry(const std::string& name) {
-  return name == "parallel_for" || name == "parallel_reduce" || name == "submit";
+  return name == "parallel_for" || name == "parallel_reduce" || name == "kernel_for" ||
+         name == "kernel_reduce" || name == "submit";
 }
 
 /// Statement keywords that can directly precede an identifier without

@@ -72,7 +72,7 @@ int usage(std::ostream& os, int exit_code) {
         "                                           run the batch, emit CSV\n"
         "  play <suite> [--dt SEC] [--periods N] [--tol DEGC] [--until-settle]\n"
         "               [--adaptive] [--max-period-error REL] [--cold-start]\n"
-        "               [--precond ilu0|chebyshev] [--summary] [--threads N]\n"
+        "               [--summary] [--threads N]\n"
         "               [--pause-after N --checkpoint FILE] [--resume FILE]\n"
         "               [--progress N] [--convergence]\n"
         "               [--trace FILE] [--metrics FILE] [-o FILE]\n"
@@ -184,9 +184,9 @@ struct TelemetryArgs {
 /// Runtime half of the run manifest (the build half — git sha, build type,
 /// compiler, sanitizer — is compiled into telemetry.cpp): what was run, on
 /// which operator and preconditioner, and how wide, so photherm_report can
-/// tell two artifacts apart months later.
-void set_run_manifest(const char* command, const CommonArgs& parsed, std::size_t scenario_count,
-                      thermal::OperatorKind op, math::PreconditionerKind preconditioner) {
+/// tell two artifacts apart months later. `run` and `play` both solve with
+/// the default steady options' operator and solver configuration.
+void set_run_manifest(const char* command, const CommonArgs& parsed, std::size_t scenario_count) {
   if (!telemetry::enabled()) {
     return;
   }
@@ -198,8 +198,9 @@ void set_run_manifest(const char* command, const CommonArgs& parsed, std::size_t
   std::ostringstream threads;
   threads << util::concurrency();
   telemetry::set_manifest("threads", threads.str());
-  telemetry::set_manifest("operator", thermal::to_string(op));
-  telemetry::set_manifest("preconditioner", math::to_string(preconditioner));
+  const thermal::SteadyStateOptions steady;
+  telemetry::set_manifest("operator", thermal::to_string(steady.operator_kind));
+  telemetry::set_manifest("preconditioner", math::to_string(steady.solver.preconditioner));
 }
 
 int cmd_list() {
@@ -237,10 +238,7 @@ int cmd_run(const std::vector<std::string>& args) {
       });
   telemetry_args.enable_if_requested();
   const auto scenarios = resolve_suite(parsed.suite);
-  // The batch's designers solve with the default steady-state options.
-  const thermal::SteadyStateOptions steady;
-  set_run_manifest("run", parsed, scenarios.size(), steady.operator_kind,
-                   steady.solver.preconditioner);
+  set_run_manifest("run", parsed, scenarios.size());
 
   scenario::BatchOptions options;
   options.share_global_solves = !no_cache;
@@ -273,10 +271,7 @@ int cmd_play(const std::vector<std::string>& args) {
           PH_REQUIRE(i + 1 < args.size(), std::string(what) + " needs a value");
           return args[++i];
         };
-        if (arg == "--precond") {
-          playback.solver.preconditioner =
-              math::preconditioner_kind_from_string(value("--precond"));
-        } else if (arg == "--dt") {
+        if (arg == "--dt") {
           playback.time_step = parse_double(value("--dt"), "--dt");
         } else if (arg == "--periods") {
           periods = static_cast<std::size_t>(parse_uint(value("--periods"), "--periods"));
@@ -335,9 +330,7 @@ int cmd_play(const std::vector<std::string>& args) {
   const timeline::TimelineRunner runner(options);
 
   const auto scenarios = resolve_suite(parsed.suite);
-  // Playback steps, and solves its steady reference, on the stencil only.
-  set_run_manifest("play", parsed, scenarios.size(), thermal::OperatorKind::kStencil,
-                   playback.solver.preconditioner);
+  set_run_manifest("play", parsed, scenarios.size());
 
   // Quantization sanity: warn when the duty a schedule actually plays on
   // this grid drifts from the analytic duty by more than the settle

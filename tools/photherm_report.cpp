@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "report/json.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -51,6 +52,7 @@
 namespace {
 
 using namespace photherm;
+using report::JsonValue;
 
 int usage(std::ostream& os, int exit_code) {
   os << "usage: photherm_report <command> [args]\n"
@@ -67,234 +69,6 @@ int usage(std::ostream& os, int exit_code) {
         "1 gated regression, 2 usage/error/build-type mismatch.\n";
   return exit_code;
 }
-
-// --- minimal JSON ----------------------------------------------------------
-// Recursive-descent parser for the two JSON shapes this tool consumes (its
-// own trace exports and Google-Benchmark output). Members keep insertion
-// order; numbers parse via strtod so format_shortest values round-trip to
-// identical doubles.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-  double number_or(const std::string& key, double fallback) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-  }
-  std::string text_or(const std::string& key, const std::string& fallback) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kString ? v->text : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(const std::string& text, std::string context)
-      : text_(text), context_(std::move(context)) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    require(pos_ == text_.size(), "trailing content after the top-level value");
-    return value;
-  }
-
- private:
-  void require(bool ok, const std::string& message) const {
-    if (!ok) {
-      std::ostringstream os;
-      os << context_ << ": JSON parse error at byte " << pos_ << ": " << message;
-      throw Error(os.str());
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    require(pos_ < text_.size(), "unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char ch) {
-    require(pos_ < text_.size() && text_[pos_] == ch,
-            std::string("expected `") + ch + "`");
-    ++pos_;
-  }
-
-  bool consume_keyword(const char* word) {
-    const std::size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      require(pos_ < text_.size(), "unterminated string");
-      const char ch = text_[pos_++];
-      if (ch == '"') {
-        return out;
-      }
-      if (ch != '\\') {
-        out.push_back(ch);
-        continue;
-      }
-      require(pos_ < text_.size(), "unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out.push_back(esc);
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          require(pos_ + 4 <= text_.size(), "truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char hex = text_[pos_++];
-            unsigned digit = 0;
-            if (hex >= '0' && hex <= '9') {
-              digit = static_cast<unsigned>(hex - '0');
-            } else if (hex >= 'a' && hex <= 'f') {
-              digit = static_cast<unsigned>(hex - 'a') + 10;
-            } else if (hex >= 'A' && hex <= 'F') {
-              digit = static_cast<unsigned>(hex - 'A') + 10;
-            } else {
-              require(false, "invalid \\u escape digit");
-            }
-            code = code * 16 + digit;
-          }
-          // This tool only needs ASCII fidelity (its inputs escape control
-          // characters); anything beyond is preserved as a placeholder.
-          out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default:
-          require(false, "unknown escape character");
-      }
-    }
-  }
-
-  /// Nesting bound far above the 4 levels of any artifact this tool reads;
-  /// it keeps a hostile file from exhausting the stack through recursion.
-  static constexpr std::size_t kMaxDepth = 256;
-
-  JsonValue parse_value(std::size_t depth = 0) {
-    skip_ws();
-    require(depth <= kMaxDepth, "values nest too deeply");
-    const char ch = peek();
-    JsonValue value;
-    if (ch == '{') {
-      value.kind = JsonValue::Kind::kObject;
-      expect('{');
-      skip_ws();
-      if (peek() == '}') {
-        expect('}');
-        return value;
-      }
-      while (true) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        value.members.emplace_back(std::move(key), parse_value(depth + 1));
-        skip_ws();
-        if (peek() == ',') {
-          expect(',');
-          continue;
-        }
-        expect('}');
-        return value;
-      }
-    }
-    if (ch == '[') {
-      value.kind = JsonValue::Kind::kArray;
-      expect('[');
-      skip_ws();
-      if (peek() == ']') {
-        expect(']');
-        return value;
-      }
-      while (true) {
-        value.items.push_back(parse_value(depth + 1));
-        skip_ws();
-        if (peek() == ',') {
-          expect(',');
-          continue;
-        }
-        expect(']');
-        return value;
-      }
-    }
-    if (ch == '"') {
-      value.kind = JsonValue::Kind::kString;
-      value.text = parse_string();
-      return value;
-    }
-    if (consume_keyword("true")) {
-      value.kind = JsonValue::Kind::kBool;
-      value.boolean = true;
-      return value;
-    }
-    if (consume_keyword("false")) {
-      value.kind = JsonValue::Kind::kBool;
-      return value;
-    }
-    if (consume_keyword("null")) {
-      return value;
-    }
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = std::strtod(start, &end);
-    require(end != start, "expected a JSON value");
-    pos_ = static_cast<std::size_t>(end - text_.c_str());
-    return value;
-  }
-
-  const std::string& text_;
-  std::string context_;
-  std::size_t pos_ = 0;
-};
 
 // --- artifact loading ------------------------------------------------------
 
@@ -459,7 +233,7 @@ Artifact load_artifact(const std::string& path) {
     ++first;
   }
   if (first < content.size() && content[first] == '{') {
-    artifact.json = JsonParser(content, path).parse();
+    artifact.json = report::parse_json(content, path);
     if (artifact.json.find("traceEvents") != nullptr) {
       artifact.type = ArtifactType::kTrace;
       if (const JsonValue* manifest = artifact.json.find("manifest")) {
