@@ -37,9 +37,11 @@ class LinearOperator {
   /// Main diagonal (zero where no entry is stored).
   virtual Vector diagonal() const = 0;
 
-  /// Deep copy. Preconditioners that need the operator beyond their
-  /// constructor (Chebyshev) clone it so they can never dangle into
-  /// storage a caller later rebuilds.
+  /// A copy that no later write to, or destruction of, this operator
+  /// changes (StencilOperator7 shares its couplings copy-on-write).
+  /// Preconditioners that need the operator beyond their constructor
+  /// (Chebyshev) clone it so they can never dangle into storage a caller
+  /// later rebuilds.
   virtual std::unique_ptr<LinearOperator> clone() const = 0;
 
   /// max_i scale[i] * sum_j |a_ij|: a Gershgorin-style upper bound on the

@@ -39,17 +39,6 @@ Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
   return inv_diag;
 }
 
-/// Each row's coupling to the cell `stride` rows below it: the +axis
-/// coupling stream `upper` of a StencilOperator7, which stores each face
-/// once, shifted by `stride`, and zero where the vector has no such cell.
-Vector lower_couplings(const Vector& upper, std::size_t stride) {
-  Vector lower(upper.size(), 0.0);
-  for (std::size_t i = stride; i < upper.size(); ++i) {
-    lower[i] = upper[i - stride];
-  }
-  return lower;
-}
-
 /// One band's progress through a banded ILU(0) apply, alone on its cache
 /// line so that publishing it does not invalidate the line another band
 /// is polling.
@@ -73,11 +62,11 @@ struct alignas(64) PlaneCounter {
   }
 };
 
-/// The stencil ILU(0) factor's streams and one apply's r and z, for the
-/// row kernels below.
+/// The stencil ILU(0) factor's reciprocal pivots, the operator couplings it
+/// shares, and one apply's r and z, for the row kernels below.
 struct IluRows {
   std::size_t nx, ny, nz;
-  const double *inv_pivot, *west, *east, *south, *north, *down, *up;
+  const double *inv_pivot, *east, *north, *up;
   const double* r;
   double* z;
 
@@ -85,34 +74,41 @@ struct IluRows {
   void backward(std::size_t k, std::size_t j0, std::size_t j1) const;
 };
 
-/// Forward-sweep row starting at cell i: w = D^{-1} r minus the scaled
-/// lower neighbours, subtracted down, south, west. kDown / kSouth say
-/// whether the row has a plane / row below it; without one the term is
-/// skipped rather than multiplied by its zero coefficient, so the kernel
-/// reads nothing outside its own row, the row below and the plane below.
-/// The west term takes the value just written from a register.
+/// Forward-sweep row starting at cell i: w = D^{-1} r minus the lower
+/// neighbours scaled by the row's reciprocal pivot, subtracted down,
+/// south, west. Row i's down, south and west couplings are up[i - nx*ny],
+/// north[i - nx] and east[i - 1]. kDown / kSouth say whether the row has a
+/// plane / row below it; without one the term is skipped rather than
+/// multiplied by its zero coefficient, and no pointer to it is formed, so
+/// the kernel reads nothing outside its own row, the row below and the
+/// plane below. Each term is (coupling * reciprocal pivot) * neighbour, in
+/// that order, so it rounds exactly as a sweep over row-scaled copies of
+/// the couplings would. The west term takes the value just written from a
+/// register.
 template <bool kDown, bool kSouth>
 void forward_row(const IluRows& f, std::size_t i) {
+  const std::size_t nx = f.nx;
+  const std::size_t sz = nx * f.ny;
   const double* r = f.r + i;
   const double* inv_pivot = f.inv_pivot + i;
-  const double* down = f.down + i;
-  const double* south = f.south + i;
-  const double* west = f.west + i;
+  const double* east = f.east + i;
+  const double* north = kSouth ? f.north + (i - nx) : nullptr;
+  const double* up = kDown ? f.up + (i - sz) : nullptr;
   double* z = f.z + i;
-  const std::size_t nx = f.nx;
-  const double* z_down = z - (kDown ? nx * f.ny : 0);
-  const double* z_south = z - (kSouth ? nx : 0);
+  const double* z_down = kDown ? z - sz : nullptr;
+  const double* z_south = kSouth ? z - nx : nullptr;
   double prev = 0.0;
   for (std::size_t x = 0; x < nx; ++x) {
-    double acc = r[x] * inv_pivot[x];
+    const double inv = inv_pivot[x];
+    double acc = r[x] * inv;
     if constexpr (kDown) {
-      acc -= down[x] * z_down[x];
+      acc -= (up[x] * inv) * z_down[x];
     }
     if constexpr (kSouth) {
-      acc -= south[x] * z_south[x];
+      acc -= (north[x] * inv) * z_south[x];
     }
     if (x > 0) {
-      acc -= west[x] * prev;
+      acc -= (east[x - 1] * inv) * prev;
     }
     z[x] = acc;
     prev = acc;
@@ -123,24 +119,26 @@ void forward_row(const IluRows& f, std::size_t i) {
 /// subtracting up, north, east from the forward result in place.
 template <bool kUp, bool kNorth>
 void backward_row(const IluRows& f, std::size_t i) {
+  const std::size_t nx = f.nx;
+  const double* inv_pivot = f.inv_pivot + i;
   const double* up = f.up + i;
   const double* north = f.north + i;
   const double* east = f.east + i;
   double* z = f.z + i;
-  const std::size_t nx = f.nx;
-  const double* z_up = z + (kUp ? nx * f.ny : 0);
-  const double* z_north = z + (kNorth ? nx : 0);
+  const double* z_up = kUp ? z + nx * f.ny : nullptr;
+  const double* z_north = kNorth ? z + nx : nullptr;
   double next = 0.0;
   for (std::size_t x = nx; x-- > 0;) {
+    const double inv = inv_pivot[x];
     double acc = z[x];
     if constexpr (kUp) {
-      acc -= up[x] * z_up[x];
+      acc -= (up[x] * inv) * z_up[x];
     }
     if constexpr (kNorth) {
-      acc -= north[x] * z_north[x];
+      acc -= (north[x] * inv) * z_north[x];
     }
     if (x + 1 < nx) {
-      acc -= east[x] * next;
+      acc -= (east[x] * inv) * next;
     }
     z[x] = acc;
     next = acc;
@@ -306,24 +304,19 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
 }
 
 StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
-    : nx_(a.nx()),
-      ny_(a.ny()),
-      nz_(a.nz()),
-      inv_pivot_(a.rows()),
-      west_(lower_couplings(a.east(), 1)),
-      east_(a.east()),
-      south_(lower_couplings(a.north(), a.nx())),
-      north_(a.north()),
-      down_(lower_couplings(a.up(), a.nx() * a.ny())),
-      up_(a.up()) {
+    : nx_(a.nx()), ny_(a.ny()), nz_(a.nz()), inv_pivot_(a.rows()), couplings_(a.couplings()) {
   const Vector& diag = a.diag();
   require_positive_diagonal(diag, "ILU(0) preconditioner");
   // Pivots first, with the same division and subtraction order as the CSR
   // IKJ factor: each lower neighbour j (down, south, west) contributes its
   // upper entries east, north, up in that order, the one landing on i in
   // full and the other two, fill ILU(0) drops, scaled by kIlu0Relaxation.
-  // A missing neighbour's coefficient is zero and subtracts 0. The pivots
-  // live in inv_pivot_ until the scaling pass below inverts them.
+  // Row i's coupling to j is j's coupling toward i: up[j], north[j] or
+  // east[j]. A missing neighbour's coupling is zero and subtracts 0. The
+  // pivots live in inv_pivot_ until the loop below inverts them.
+  const Vector& east = *couplings_.east;
+  const Vector& north = *couplings_.north;
+  const Vector& up = *couplings_.up;
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;
   Vector& pivot = inv_pivot_;
@@ -331,24 +324,24 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
     double d = diag[i];
     if (i >= sz) {
       const std::size_t j = i - sz;
-      const double l = down_[i] / pivot[j];
-      d -= kIlu0Relaxation * (l * east_[j]);
-      d -= kIlu0Relaxation * (l * north_[j]);
-      d -= l * up_[j];
+      const double l = up[j] / pivot[j];
+      d -= kIlu0Relaxation * (l * east[j]);
+      d -= kIlu0Relaxation * (l * north[j]);
+      d -= l * up[j];
     }
     if (i >= sy) {
       const std::size_t j = i - sy;
-      const double l = south_[i] / pivot[j];
-      d -= kIlu0Relaxation * (l * east_[j]);
-      d -= l * north_[j];
-      d -= kIlu0Relaxation * (l * up_[j]);
+      const double l = north[j] / pivot[j];
+      d -= kIlu0Relaxation * (l * east[j]);
+      d -= l * north[j];
+      d -= kIlu0Relaxation * (l * up[j]);
     }
     if (i >= 1) {
       const std::size_t j = i - 1;
-      const double l = west_[i] / pivot[j];
-      d -= l * east_[j];
-      d -= kIlu0Relaxation * (l * north_[j]);
-      d -= kIlu0Relaxation * (l * up_[j]);
+      const double l = east[j] / pivot[j];
+      d -= l * east[j];
+      d -= kIlu0Relaxation * (l * north[j]);
+      d -= kIlu0Relaxation * (l * up[j]);
     }
     if (!(d > 0.0)) {
       std::ostringstream os;
@@ -357,17 +350,8 @@ StencilIlu0Preconditioner::StencilIlu0Preconditioner(const StencilOperator7& a)
     }
     pivot[i] = d;
   }
-  // Scale every row by its reciprocal pivot, so each sweep step is one
-  // multiply-subtract on the value the previous step just wrote.
-  for (std::size_t i = 0; i < pivot.size(); ++i) {
-    const double inv = 1.0 / pivot[i];
-    inv_pivot_[i] = inv;
-    west_[i] *= inv;
-    east_[i] *= inv;
-    south_[i] *= inv;
-    north_[i] *= inv;
-    down_[i] *= inv;
-    up_[i] *= inv;
+  for (double& p : inv_pivot_) {
+    p = 1.0 / p;
   }
 }
 
@@ -376,9 +360,15 @@ void StencilIlu0Preconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == n, "ILU(0) apply: size mismatch");
   telemetry::count(telemetry::Counter::kPrecondIlu0Applies);
   z.resize(n);
-  const IluRows rows{nx_,          ny_,          nz_,          inv_pivot_.data(),
-                     west_.data(), east_.data(), south_.data(), north_.data(),
-                     down_.data(), up_.data(),   r.data(),      z.data()};
+  const IluRows rows{nx_,
+                     ny_,
+                     nz_,
+                     inv_pivot_.data(),
+                     couplings_.east->data(),
+                     couplings_.north->data(),
+                     couplings_.up->data(),
+                     r.data(),
+                     z.data()};
   const std::size_t bands =
       n < util::kSerialCutoff ? 1 : std::min(util::region_executors(), ny_);
   if (bands == 1) {

@@ -6,7 +6,8 @@
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
 /// pointer into the caller's matrix — so rebuilding or destroying A after
-/// construction can never make apply() read freed or stale storage. A
+/// construction can never make apply() read freed or stale storage (the
+/// stencil ILU(0) factor co-owns A's couplings, see StencilOperator7). A
 /// preconditioner built for one A stays a *valid* (merely outdated)
 /// preconditioner if the caller later changes A; callers that reassemble
 /// (the transient stepping path) rebuild their cached preconditioner
@@ -78,14 +79,13 @@ class Ilu0Preconditioner final : public Preconditioner {
 /// factor, so on the same coefficients the pivots equal
 /// Ilu0Preconditioner's bit for bit. The two terms per neighbour with
 /// k != i are the fill ILU(0) drops; a line of cells has none, so there the
-/// factor is the exact LU. Owns the reciprocal pivots and six off-diagonal
-/// streams: copies of the operator's east/north/up couplings plus the
-/// west/south/down ones derived from them (row i's west coupling is
-/// east[i-1], and so on), each row scaled by its reciprocal pivot. Row
-/// scaling breaks the symmetry the operator exploits, so all six are kept.
-/// The apply solves (I + D^{-1} L_A) w = D^{-1} r, then
-/// (I + D^{-1} U_A) z = w, in place in z with one multiply-subtract per
-/// neighbour.
+/// factor is the exact LU. So the factor stores only its reciprocal
+/// pivots and shares the operator's east/north/up couplings by ownership
+/// (StencilOperator7::couplings()); row i's west/south/down couplings are
+/// east[i-1], north[i-nx] and up[i-nx*ny]. The apply solves
+/// (I + D^{-1} L_A) w = D^{-1} r, then (I + D^{-1} U_A) z = w, in place in
+/// z: each neighbour term multiplies the coupling by the row's reciprocal
+/// pivot, then that product by the neighbour's value.
 ///
 /// The apply sweeps one x-row at a time. Each row subtracts its neighbour
 /// terms in natural-order sequence (down, south, west forward; up, north,
@@ -115,7 +115,8 @@ class StencilIlu0Preconditioner final : public Preconditioner {
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
   std::size_t nz_ = 0;
-  Vector inv_pivot_, west_, east_, south_, north_, down_, up_;
+  Vector inv_pivot_;
+  StencilOperator7::Couplings couplings_;
 };
 
 struct ChebyshevSettings {

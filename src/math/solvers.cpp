@@ -35,16 +35,16 @@ void validate(const SolverOptions& options) {
   }
 }
 
-SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
+/// Judges the solve by its true residual b - A x, computed in `work`.
+SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x, Vector& work,
                       std::size_t iters, double norm_b, const SolverOptions& options) {
-  Vector r;
-  a.apply(x, r);
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    r[i] = b[i] - r[i];
+  a.apply(x, work);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i] = b[i] - work[i];
   }
   SolverResult result;
   result.iterations = iters;
-  result.residual_norm = norm2(r);
+  result.residual_norm = norm2(work);
   result.relative_residual = norm_b > 0.0 ? result.residual_norm / norm_b : result.residual_norm;
   telemetry::count(telemetry::Counter::kCgSolves);
   telemetry::count(telemetry::Counter::kCgIterations, iters);
@@ -92,17 +92,19 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
         "the power and boundary inputs feeding this solve");
   }
 
+  // Three work vectors: the residual r, the direction p, and w, which
+  // holds A p from the SpMV until cg_update has read it, then
+  // z = M^{-1} r from the preconditioner until xpby has read it.
   Vector r;
   a.apply(x, r);
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - r[i];
   }
-  Vector z(n);
-  precond.apply(r, z);
-  Vector p = z;
-  Vector ap(n);
+  Vector w(n);
+  precond.apply(r, w);
+  Vector p = w;
   // {r·z, r·r} from one pass; r·r is norm2(r)² bit for bit.
-  DotPair r_dots = dot_pair(r, z);
+  DotPair r_dots = dot_pair(r, w);
 
   std::vector<double> history;
   std::size_t it = 0;
@@ -117,7 +119,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     if (rel <= options.rel_tolerance) {
       break;
     }
-    const double p_ap = a.apply_dot(p, ap);
+    const double p_ap = a.apply_dot(p, w);
     if (!std::isfinite(p_ap)) {
       throw SolverError(
           "CG breakdown: the iterate is not finite (p'Ap overflowed or is NaN); the initial "
@@ -125,14 +127,14 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     }
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = r_dots.ab / p_ap;
-    cg_update(alpha, p, ap, x, r);
-    precond.apply(r, z);
-    const DotPair next = dot_pair(r, z);
+    cg_update(alpha, p, w, x, r);
+    precond.apply(r, w);
+    const DotPair next = dot_pair(r, w);
     const double beta = next.ab / r_dots.ab;
     r_dots = next;
-    xpby(z, beta, p);
+    xpby(w, beta, p);
   }
-  SolverResult result = finalize(a, b, x, it, norm_b, options);
+  SolverResult result = finalize(a, b, x, w, it, norm_b, options);
   result.convergence = std::move(history);
   return result;
 }

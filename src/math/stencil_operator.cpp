@@ -52,15 +52,25 @@ StencilOperator7::StencilOperator7(std::size_t nx, std::size_t ny, std::size_t n
     : nx_(nx), ny_(ny), nz_(nz), n_(nx * ny * nz) {
   PH_REQUIRE(nx > 0 && ny > 0 && nz > 0, "stencil grid dimensions must be positive");
   diag_.assign(n_, 0.0);
-  east_.assign(n_, 0.0);
-  north_.assign(n_, 0.0);
-  up_.assign(n_, 0.0);
+  east_ = std::make_shared<Vector>(n_, 0.0);
+  north_ = std::make_shared<Vector>(n_, 0.0);
+  up_ = std::make_shared<Vector>(n_, 0.0);
+}
+
+Vector& StencilOperator7::own(Stream& stream) {
+  if (stream.use_count() > 1) {
+    stream = std::make_shared<Vector>(*stream);
+  }
+  return *stream;
 }
 
 void StencilOperator7::apply_rows(const Vector& x, Vector& y, std::size_t begin,
                                   std::size_t end) const {
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;
+  const Vector& east = *east_;
+  const Vector& north = *north_;
+  const Vector& up = *up_;
   // Guarded row: substitutes 0.0 for out-of-range neighbours. A boundary
   // cell's coefficient toward a missing neighbour is zero, so for rows
   // whose neighbour index merely wraps (e.g. west at ix == 0 reading the
@@ -68,13 +78,13 @@ void StencilOperator7::apply_rows(const Vector& x, Vector& y, std::size_t begin,
   // and the sum is bit-identical to the guarded one; the guards only exist
   // to keep the first/last sz rows from indexing outside x.
   auto guarded_row = [&](std::size_t i) {
-    double acc = lower(up_, i, sz) * (i >= sz ? x[i - sz] : 0.0);
-    acc += lower(north_, i, sy) * (i >= sy ? x[i - sy] : 0.0);
-    acc += lower(east_, i, 1) * (i >= 1 ? x[i - 1] : 0.0);
+    double acc = lower(up, i, sz) * (i >= sz ? x[i - sz] : 0.0);
+    acc += lower(north, i, sy) * (i >= sy ? x[i - sy] : 0.0);
+    acc += lower(east, i, 1) * (i >= 1 ? x[i - 1] : 0.0);
     acc += diag_[i] * x[i];
-    acc += east_[i] * (i + 1 < n_ ? x[i + 1] : 0.0);
-    acc += north_[i] * (i + sy < n_ ? x[i + sy] : 0.0);
-    acc += up_[i] * (i + sz < n_ ? x[i + sz] : 0.0);
+    acc += east[i] * (i + 1 < n_ ? x[i + 1] : 0.0);
+    acc += north[i] * (i + sy < n_ ? x[i + sy] : 0.0);
+    acc += up[i] * (i + sz < n_ ? x[i + sz] : 0.0);
     return acc;
   };
   const std::size_t interior_end = n_ > sz ? n_ - sz : 0;
@@ -87,9 +97,9 @@ void StencilOperator7::apply_rows(const Vector& x, Vector& y, std::size_t begin,
   const std::size_t interior_stop = std::min(end, interior_end);
   if (i < interior_stop) {
     const double* xi = x.data() + i;
-    interior_rows(interior_stop - i, up_.data() + i - sz, north_.data() + i - sy,
-                  east_.data() + i - 1, diag_.data() + i, east_.data() + i, north_.data() + i,
-                  up_.data() + i, xi - sz, xi - sy, xi - 1, xi, xi + 1, xi + sy, xi + sz,
+    interior_rows(interior_stop - i, up.data() + i - sz, north.data() + i - sy,
+                  east.data() + i - 1, diag_.data() + i, east.data() + i, north.data() + i,
+                  up.data() + i, xi - sz, xi - sy, xi - 1, xi, xi + 1, xi + sy, xi + sz,
                   y.data() + i);
     i = interior_stop;
   }
@@ -132,11 +142,14 @@ double StencilOperator7::scaled_row_sum_bound(const Vector& scale) const {
   PH_REQUIRE(scale.size() == n_, "scaled_row_sum_bound: scale size mismatch");
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;
+  const Vector& east = *east_;
+  const Vector& north = *north_;
+  const Vector& up = *up_;
   double bound = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double sum = std::abs(lower(up_, i, sz)) + std::abs(lower(north_, i, sy)) +
-                       std::abs(lower(east_, i, 1)) + std::abs(diag_[i]) + std::abs(east_[i]) +
-                       std::abs(north_[i]) + std::abs(up_[i]);
+    const double sum = std::abs(lower(up, i, sz)) + std::abs(lower(north, i, sy)) +
+                       std::abs(lower(east, i, 1)) + std::abs(diag_[i]) + std::abs(east[i]) +
+                       std::abs(north[i]) + std::abs(up[i]);
     bound = std::max(bound, scale[i] * sum);
   }
   return bound;
@@ -152,27 +165,30 @@ void StencilOperator7::add_to_diagonal(const Vector& delta) {
 CsrMatrix StencilOperator7::to_csr() const {
   const std::size_t sy = nx_;
   const std::size_t sz = nx_ * ny_;
+  const Vector& east = *east_;
+  const Vector& north = *north_;
+  const Vector& up = *up_;
   CsrBuilder builder(n_, n_);
   builder.reserve(7 * n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    if (const double down = lower(up_, i, sz); down != 0.0) {
+    if (const double down = lower(up, i, sz); down != 0.0) {
       builder.add(i, i - sz, down);
     }
-    if (const double south = lower(north_, i, sy); south != 0.0) {
+    if (const double south = lower(north, i, sy); south != 0.0) {
       builder.add(i, i - sy, south);
     }
-    if (const double west = lower(east_, i, 1); west != 0.0) {
+    if (const double west = lower(east, i, 1); west != 0.0) {
       builder.add(i, i - 1, west);
     }
     builder.add(i, i, diag_[i]);
-    if (east_[i] != 0.0) {
-      builder.add(i, i + 1, east_[i]);
+    if (east[i] != 0.0) {
+      builder.add(i, i + 1, east[i]);
     }
-    if (north_[i] != 0.0) {
-      builder.add(i, i + sy, north_[i]);
+    if (north[i] != 0.0) {
+      builder.add(i, i + sy, north[i]);
     }
-    if (up_[i] != 0.0) {
-      builder.add(i, i + sz, up_[i]);
+    if (up[i] != 0.0) {
+      builder.add(i, i + sz, up[i]);
     }
   }
   return builder.build();
@@ -202,11 +218,11 @@ StencilOperator7 StencilOperator7::from_csr(const CsrMatrix& a, std::size_t nx, 
       if ((j + 1 == i && ix > 0) || (j + sy == i && iy > 0) || (j + sz == i && iz > 0)) {
         // A -axis coupling: the operator holds it as the +axis one of j.
       } else if (j == i + 1 && ix + 1 < nx) {
-        op.east_[i] = v;
+        (*op.east_)[i] = v;
       } else if (j == i + sy && iy + 1 < ny) {
-        op.north_[i] = v;
+        (*op.north_)[i] = v;
       } else if (j == i + sz && iz + 1 < nz) {
-        op.up_[i] = v;
+        (*op.up_)[i] = v;
       } else {
         std::ostringstream os;
         os << "from_csr: entry (" << i << ", " << j

@@ -17,7 +17,15 @@
 /// ascending column index, matching the CSR kernel's sorted-column order),
 /// and rows are chunk-ordered over the shared pool, so results are
 /// bit-identical at 1, 2 or N threads, exactly like CsrMatrix::multiply.
+///
+/// The three coupling streams are shared by ownership, never copied:
+/// copies of the operator and the ILU(0) factors built on it hold the same
+/// streams (see couplings()). A mutable accessor gives this operator its
+/// own copy of a stream that anything else still holds before returning
+/// it (copy-on-write), so no write ever reaches another holder.
 #pragma once
+
+#include <memory>
 
 #include "math/csr_matrix.hpp"
 #include "math/linear_operator.hpp"
@@ -38,15 +46,25 @@ class StencilOperator7 final : public LinearOperator {
   /// Coefficient streams: the diagonal and each cell's coupling to its +x
   /// (east, offset +1), +y (north, +nx) and +z (up, +nx*ny) neighbour,
   /// which is also that neighbour's coupling back to the cell. A cell's
-  /// coupling toward a missing +axis neighbour must stay zero.
+  /// coupling toward a missing +axis neighbour must stay zero. A reference
+  /// from a mutable coupling accessor may be written only until the
+  /// operator is next copied or factored; fetch it again after that.
   Vector& diag() { return diag_; }
-  Vector& east() { return east_; }
-  Vector& north() { return north_; }
-  Vector& up() { return up_; }
+  Vector& east() { return own(east_); }
+  Vector& north() { return own(north_); }
+  Vector& up() { return own(up_); }
   const Vector& diag() const { return diag_; }
-  const Vector& east() const { return east_; }
-  const Vector& north() const { return north_; }
-  const Vector& up() const { return up_; }
+  const Vector& east() const { return *east_; }
+  const Vector& north() const { return *north_; }
+  const Vector& up() const { return *up_; }
+
+  /// The coupling streams, shared: a holder keeps reading these values
+  /// after the operator is written through a mutable accessor or
+  /// destroyed.
+  struct Couplings {
+    std::shared_ptr<const Vector> east, north, up;
+  };
+  Couplings couplings() const { return {east_, north_, up_}; }
 
   void apply(const Vector& x, Vector& y) const override;
   /// Sums each chunk's x·y partial right after writing that chunk's rows,
@@ -58,9 +76,8 @@ class StencilOperator7 final : public LinearOperator {
   double scaled_row_sum_bound(const Vector& scale) const override;
 
   /// diag += delta (size must match). The transient stepping operator
-  /// C/dt + A differs from A only on the diagonal, so an adaptive-dt
-  /// rebuild on the stencil path is one vector add instead of a full CSR
-  /// triplet sort.
+  /// C/dt + A differs from A only on the diagonal, so it is a copy of A
+  /// (one diagonal, shared couplings) plus one vector add.
   void add_to_diagonal(const Vector& delta);
 
   /// Explicit CSR form (tests; CSR-only preconditioners).
@@ -75,6 +92,11 @@ class StencilOperator7 final : public LinearOperator {
                                    std::size_t nz);
 
  private:
+  using Stream = std::shared_ptr<Vector>;
+
+  /// `stream`, first replaced by a private copy if anything else holds it.
+  static Vector& own(Stream& stream);
+
   /// y[begin, end) = rows begin..end-1 of A x.
   void apply_rows(const Vector& x, Vector& y, std::size_t begin, std::size_t end) const;
 
@@ -82,7 +104,8 @@ class StencilOperator7 final : public LinearOperator {
   std::size_t ny_ = 0;
   std::size_t nz_ = 0;
   std::size_t n_ = 0;
-  Vector diag_, east_, north_, up_;
+  Vector diag_;
+  Stream east_, north_, up_;
 };
 
 }  // namespace photherm::math

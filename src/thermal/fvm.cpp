@@ -117,10 +117,10 @@ bool has_fixing_bc(const BoundarySet& bcs) {
 /// assemblies so the two operators can never drift apart. The emitter
 /// receives every internal face once (`pair(cell, nb, axis, g)` with the
 /// neighbour toward +axis) and every non-adiabatic boundary face
-/// (`boundary(cell, g)`); rhs and capacitance are filled here.
+/// (`boundary(cell, g)`); rhs is filled here.
 template <typename Emitter>
 void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs, math::Vector& rhs,
-                   math::Vector& capacitance, Emitter&& emit) {
+                   Emitter&& emit) {
   PH_REQUIRE(has_fixing_bc(bcs),
              "all-adiabatic boundary set: the steady-state problem is singular");
 
@@ -131,7 +131,6 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs, math::Vecto
   const auto& lib = m.materials_library();
 
   rhs.assign(n, 0.0);
-  capacitance.assign(n, 0.0);
 
   auto conductivity = [&](std::size_t cell) { return lib.get(m.material(cell)).conductivity; };
 
@@ -145,8 +144,6 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs, math::Vecto
         const double k1 = conductivity(cell);
 
         rhs[cell] += m.power(cell);
-        const auto& mat = lib.get(m.material(cell));
-        capacitance[cell] = mat.density * mat.specific_heat * dx * dy * dz;
 
         // Internal faces toward +x, +y, +z (each pair handled once).
         struct Neighbour {
@@ -207,9 +204,8 @@ DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs) {
   } emit{math::CsrBuilder(n, n)};
   emit.builder.reserve(7 * n);
   math::Vector rhs;
-  math::Vector capacitance;
-  assemble_core(m, bcs, rhs, capacitance, emit);
-  return DiscreteSystem{emit.builder.build(), std::move(rhs), std::move(capacitance)};
+  assemble_core(m, bcs, rhs, emit);
+  return DiscreteSystem{emit.builder.build(), std::move(rhs)};
 }
 
 StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs) {
@@ -226,9 +222,25 @@ StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs)
     void boundary(std::size_t cell, double g) { op.diag()[cell] += g; }
   } emit{math::StencilOperator7(m.nx(), m.ny(), m.nz())};
   math::Vector rhs;
-  math::Vector capacitance;
-  assemble_core(m, bcs, rhs, capacitance, emit);
-  return StencilSystem{std::move(emit.op), std::move(rhs), std::move(capacitance)};
+  assemble_core(m, bcs, rhs, emit);
+  return StencilSystem{std::move(emit.op), std::move(rhs)};
+}
+
+math::Vector heat_capacitance(const RectilinearMesh& m) {
+  const auto& lib = m.materials_library();
+  math::Vector capacitance(m.cell_count());
+  for (std::size_t iz = 0; iz < m.nz(); ++iz) {
+    const double dz = m.z().cell_width(iz);
+    for (std::size_t iy = 0; iy < m.ny(); ++iy) {
+      const double dy = m.y().cell_width(iy);
+      for (std::size_t ix = 0; ix < m.nx(); ++ix) {
+        const std::size_t cell = m.index(ix, iy, iz);
+        const auto& mat = lib.get(m.material(cell));
+        capacitance[cell] = mat.density * mat.specific_heat * m.x().cell_width(ix) * dy * dz;
+      }
+    }
+  }
+  return capacitance;
 }
 
 const char* to_string(OperatorKind kind) {

@@ -16,12 +16,10 @@
 
 namespace photherm::thermal {
 
-/// Discrete conduction problem: A T = b with per-cell heat capacitance
-/// (C = rho * cp * V) for transient stepping.
+/// Discrete steady conduction problem: A T = b.
 struct DiscreteSystem {
   math::CsrMatrix matrix;
   math::Vector rhs;
-  math::Vector capacitance;  ///< [J/K] per cell
 };
 
 /// The same discrete problem with the operator in matrix-free 7-point
@@ -30,7 +28,6 @@ struct DiscreteSystem {
 struct StencilSystem {
   math::StencilOperator7 op;
   math::Vector rhs;
-  math::Vector capacitance;  ///< [J/K] per cell
 };
 
 /// Assemble the steady-state conduction system for `mesh` under `bcs`.
@@ -44,6 +41,10 @@ DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bc
 /// summation order of coincident contributions may differ (CsrBuilder sums
 /// duplicates in unspecified order), which keeps the two within a few ULP.
 StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs);
+
+/// Heat capacitance per cell, C = rho * cp * V [J/K]. Only transient
+/// stepping reads it, so the steady assemblies do not build it.
+math::Vector heat_capacitance(const mesh::RectilinearMesh& mesh);
 
 /// Which operator representation the steady solves iterate on.
 enum class OperatorKind {

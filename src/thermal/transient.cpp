@@ -119,10 +119,10 @@ void TransientSolver::set_time_step(double dt) {
 }
 
 void TransientSolver::rebuild_stepping() {
-  // Diagonal-only shift: copy A's coefficient streams and add C/dt — no
-  // triplet sort, which is what makes adaptive-dt rebuilds cheap. C/dt is
-  // kept: every step's rhs scales the state by it.
-  capacitance_over_dt_ = system_.capacitance;
+  // Diagonal-only shift: copy A's diagonal, share its couplings and add
+  // C/dt — no triplet sort, which is what makes adaptive-dt rebuilds
+  // cheap. C/dt is kept: every step's rhs scales the state by it.
+  capacitance_over_dt_ = heat_capacitance(*mesh_);
   for (double& c : capacitance_over_dt_) {
     c /= options_.time_step;
   }

@@ -93,8 +93,8 @@ class TransientSolver {
   const math::Vector& power() const { return power_; }
 
   /// Change the step size; takes effect on the next step. Rebuilds the
-  /// stepping operator C/dt + A (a copy of A plus a diagonal shift) and the
-  /// preconditioner cached with it — the only dt-dependent state, so
+  /// stepping operator C/dt + A (A's diagonal plus a shift, sharing A's
+  /// couplings) and the preconditioner cached with it — the only dt-dependent state, so
   /// adaptive stepping calls this rarely (geometric growth) and never per
   /// step. Counted in stats().reassemblies. The state, time, power and rhs
   /// split are untouched; a no-op when `dt` already is the current step.
@@ -115,10 +115,9 @@ class TransientSolver {
   /// Cumulative stepping statistics since construction.
   const TransientStats& stats() const { return stats_; }
 
-  /// The assembled steady-state system (stencil operator A, rhs,
-  /// capacitance) this solver steps. Read-only; the timeline engine reuses
-  /// it for the steady settle reference instead of assembling the same
-  /// scene twice.
+  /// The assembled steady-state system (stencil operator A and rhs) this
+  /// solver steps. Read-only; the timeline engine reuses it for the steady
+  /// settle reference instead of assembling the same scene twice.
   const StencilSystem& system() const { return system_; }
 
  private:
@@ -135,7 +134,7 @@ class TransientSolver {
   std::shared_ptr<const mesh::RectilinearMesh> mesh_;
   TransientOptions options_;
   StencilSystem system_;            ///< steady-state operator A and rhs q
-  math::StencilOperator7 stepping_;  ///< C/dt + A
+  math::StencilOperator7 stepping_;  ///< C/dt + A, sharing A's couplings
   /// Cached with the stepping operator and rebuilt only by set_time_step —
   /// never per solve (see TransientStats::preconditioner_builds).
   std::unique_ptr<math::Preconditioner> precond_;

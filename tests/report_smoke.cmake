@@ -23,6 +23,13 @@
 #   8. bench JSON numbers follow the JSON grammar plus the non-finite
 #      spellings the emitters write: `0x10`, `infinity`, `+1`, `.5`, `1.`
 #      and `01` are refused (exit 2) with a parse error naming the byte.
+#   9. metrics-CSV numbers follow the same grammar plus exactly the
+#      non-finite spellings the exporter writes (`nan`, `-nan`, `inf`,
+#      `-inf`): `0x10`, `infinity`, `Infinity`, `NaN`, `+1`, `.5`, `1.`,
+#      `01` and an empty cell are refused (exit 2) with a message naming
+#      the metric and the column.
+#  10. summarize orders NaN last: a 200-entry bench JSON whose odd entries
+#      have `nan` real times lists the slowest even entries first.
 
 foreach(var PHOTHERM_CLI PHOTHERM_REPORT RULES WORK_DIR)
   if(NOT DEFINED ${var})
@@ -192,3 +199,53 @@ foreach(case 0x10:43 infinity:45 +1:42 .5:42 1.:44 01:43)
                         "got:\n${number_out_err}")
   endif()
 endforeach()
+
+# 9. A metrics-CSV count or total is a decimal number or one of the
+# exporter's non-finite spellings; any other token names its cell.
+foreach(token nan -nan inf -inf 0 -0.5 1e-3 2E+8)
+  file(WRITE ${WORK_DIR}/number.csv "metric,kind,count,total\nx.wall,timer,1,${token}\n")
+  run_report(0 number_out summarize ${WORK_DIR}/number.csv)
+endforeach()
+set(refusal "number\\.csv: metric `x\\.wall`, column `total`: expected a decimal number")
+foreach(token 0x10 infinity Infinity NaN +1 .5 1. 01 "")
+  file(WRITE ${WORK_DIR}/number.csv "metric,kind,count,total\nx.wall,timer,1,${token}\n")
+  run_report(2 number_out summarize ${WORK_DIR}/number.csv)
+  if(NOT number_out_err MATCHES "${refusal}")
+    message(FATAL_ERROR "metrics-CSV total `${token}` should be refused naming its cell; "
+                        "got:\n${number_out_err}")
+  endif()
+endforeach()
+file(WRITE ${WORK_DIR}/number.csv "metric,kind,count,total\nx.wall,timer,0x10,1\n")
+run_report(2 number_out summarize ${WORK_DIR}/number.csv)
+if(NOT number_out_err MATCHES "metric `x\\.wall`, column `count`: expected a decimal number")
+  message(FATAL_ERROR "metrics-CSV count `0x10` should be refused naming its cell; "
+                      "got:\n${number_out_err}")
+endif()
+
+# 10. std::sort needs a strict weak ordering, which `>` is not once a value
+# is NaN: 200 entries take its partitioning path, where a broken ordering
+# reads past the range or drops the slowest entries. NaN sorts last.
+set(entries "")
+foreach(i RANGE 199)
+  math(EXPR odd "${i} % 2")
+  if(odd)
+    set(real_time nan)
+  else()
+    set(real_time ${i})
+  endif()
+  if(NOT entries STREQUAL "")
+    string(APPEND entries ",")
+  endif()
+  string(APPEND entries "{\"name\":\"BM_${i}\",\"real_time\":${real_time},\"cpu_time\":1}")
+endforeach()
+file(WRITE ${WORK_DIR}/nan_bench.json "{\"benchmarks\":[${entries}]}")
+run_report(0 nan_out summarize ${WORK_DIR}/nan_bench.json --top 12)
+string(REGEX MATCHALL "BM_[0-9]+" listed "${nan_out}")
+set(expected "")
+foreach(i RANGE 198 176 -2)
+  list(APPEND expected BM_${i})
+endforeach()
+if(NOT listed STREQUAL expected)
+  message(FATAL_ERROR "summarize --top 12 should list BM_198, BM_196, ..., BM_176; "
+                      "got:\n${nan_out}")
+endif()

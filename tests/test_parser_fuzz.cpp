@@ -1,7 +1,8 @@
 /// Deterministic mutation fuzzing of the two text formats a user hands to
 /// the CLI, scenario suites (scenario::parse_scenarios) and playback
 /// checkpoints (timeline::parse_checkpoints), and of the bench and trace
-/// JSON photherm_report reads (report::parse_json). Each mutant of a valid
+/// JSON and the metrics CSVs photherm_report reads (report::parse_json,
+/// report::parse_metrics_csv). Each mutant of a valid
 /// serialized input must either parse or throw photherm::Error — never
 /// crash, read out of bounds or throw anything else — and a mutant that
 /// parses must reach a fixed point: serializing it, parsing that text and
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "report/json.hpp"
+#include "report/metrics_csv.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "timeline/checkpoint.hpp"
@@ -273,6 +275,38 @@ TEST(ParserFuzz, ReportJsonMutantsParseOrThrowAndReachAFixedPoint) {
     EXPECT_GT(counts.parsed, 200u);
     EXPECT_GT(counts.rejected, 200u);
   }
+}
+
+/// Metrics-CSV text of a parsed artifact, numbers in format_shortest: the
+/// reader's inverse, so a parsed mutant can be checked for a fixed point.
+std::string write_metrics_csv(const report::MetricsCsv& csv) {
+  std::string out;
+  for (const auto& [key, value] : csv.manifest) {
+    out.append("# ").append(key).append("=").append(value).append("\n");
+  }
+  out += "metric,kind,count,total,min,max,p50,p90,p99\n";
+  for (const auto& [name, row] : csv.metrics) {
+    out += join({name, row.kind, format_shortest(row.count), format_shortest(row.total), row.min,
+                 row.max, row.p50, row.p90, row.p99},
+                ",");
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ParserFuzz, MetricsCsvMutantsParseOrThrowAndReachAFixedPoint) {
+  const auto parse = [](const std::string& t) { return report::parse_metrics_csv(t, "mutant"); };
+  // The committed gate fixture: a manifest block, counters, timers and a
+  // gauge with percentile cells.
+  const std::string text =
+      read_text(std::string(PHOTHERM_TESTS_DIR) + "/report/baseline_metrics.csv");
+  ASSERT_FALSE(text.empty());
+  const std::string written = write_metrics_csv(parse(text));
+  ASSERT_EQ(write_metrics_csv(parse(written)), written);
+
+  const FuzzCounts counts = fuzz(text, 2000, 0x3e7c5c03, parse, write_metrics_csv);
+  EXPECT_GT(counts.parsed, 200u);
+  EXPECT_GT(counts.rejected, 200u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -166,9 +167,8 @@ TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
   const thermal::DiscreteSystem csr = thermal::assemble(mesh, bcs);
   const thermal::StencilSystem stencil = thermal::assemble_stencil(mesh, bcs);
 
-  // rhs and capacitance come from the shared assembly core: bit-equal.
+  // rhs comes from the shared assembly core: bit-equal.
   EXPECT_EQ(csr.rhs, stencil.rhs);
-  EXPECT_EQ(csr.capacitance, stencil.capacitance);
 
   // The operators match coefficient for coefficient up to the CsrBuilder's
   // unspecified duplicate-summation order (a few ULP on the diagonal).
@@ -297,6 +297,37 @@ TEST(StencilIlu0, ApplyIsBitIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(same_bytes(z, reference)) << "nested in a parallel_for";
     }
   }
+}
+
+TEST(StencilIlu0, FactorAppliesUnchangedAfterItsOperatorIsWrittenOrDestroyed) {
+  auto op = std::make_unique<StencilOperator7>(diagonally_dominant_stencil(9, 7, 5, 61));
+  const StencilOperator7 snapshot = *op;
+  const StencilIlu0Preconditioner ilu0(*op);
+  const Vector r = random_vector(op->rows(), 67);
+  Vector before;
+  ilu0.apply(r, before);
+  ASSERT_TRUE(same_bytes(before, FlatIlu0(snapshot).apply(r)));
+
+  // Scale every stream the factor was built from through the mutable
+  // accessors. The operator changes; its copy and the factor do not.
+  for (Vector* stream : {&op->diag(), &op->east(), &op->north(), &op->up()}) {
+    for (double& v : *stream) {
+      v *= 3.0;
+    }
+  }
+  EXPECT_EQ(op->east()[0], 3.0 * snapshot.east()[0]);
+  Vector rebuilt;
+  StencilIlu0Preconditioner(*op).apply(r, rebuilt);
+  EXPECT_FALSE(same_bytes(rebuilt, before));
+  Vector after_write;
+  ilu0.apply(r, after_write);
+  EXPECT_TRUE(same_bytes(after_write, before));
+  EXPECT_TRUE(same_bytes(FlatIlu0(snapshot).apply(r), before));
+
+  op.reset();
+  Vector after_destroy;
+  ilu0.apply(r, after_destroy);
+  EXPECT_TRUE(same_bytes(after_destroy, before));
 }
 
 TEST(Stencil, AddToDiagonalShiftsOnlyTheDiagonal) {
@@ -589,7 +620,7 @@ TEST(Chebyshev, ShiftedOperatorTightensTheSpectrumInterval) {
   // A strong diagonal shift (transient stepping with a small dt) squeezes
   // the Jacobi-scaled spectrum toward 1; the lower bound must follow it
   // instead of staying at lambda_max / eig_ratio.
-  Vector shift = stencil.capacitance;
+  Vector shift = thermal::heat_capacitance(mesh);
   const double dt = 1e-6;
   for (double& c : shift) {
     c /= dt;

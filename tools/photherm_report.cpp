@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "report/json.hpp"
+#include "report/metrics_csv.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -85,13 +86,6 @@ const char* artifact_type_name(ArtifactType type) {
   }
 }
 
-struct MetricRow {
-  std::string kind;
-  double count = 0.0;
-  double total = 0.0;
-  std::string min, max, p50, p90, p99;  ///< raw cells (may be empty)
-};
-
 struct Artifact {
   ArtifactType type = ArtifactType::kMetrics;
   std::string path;
@@ -103,8 +97,8 @@ struct Artifact {
   /// "<benchmark>/<field>" for every numeric per-benchmark field of a
   /// bench JSON.
   std::map<std::string, double> values;
-  std::map<std::string, MetricRow> metrics;  ///< metrics CSVs only
-  JsonValue json;                            ///< bench/trace only
+  std::map<std::string, report::MetricRow> metrics;  ///< metrics CSVs only
+  JsonValue json;                                    ///< bench/trace only
 };
 
 std::string read_file(const std::string& path) {
@@ -116,60 +110,14 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-double parse_cell_number(const std::string& cell, const std::string& context) {
-  const std::string text = trim(cell);
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  PH_REQUIRE(!text.empty() && end == text.c_str() + text.size(),
-             context + ": expected a number, got `" + cell + "`");
-  return value;
-}
-
 void load_metrics_csv(Artifact& artifact, const std::string& content) {
   artifact.type = ArtifactType::kMetrics;
-  std::map<std::string, std::size_t> columns;
-  for (const std::string& raw_line : split(content, '\n')) {
-    const std::string line = trim(raw_line);
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      // Manifest comment block: `# key=value` (the `# photherm-manifest v1`
-      // marker has no `=` and is skipped).
-      const std::size_t eq = line.find('=');
-      if (eq != std::string::npos) {
-        artifact.manifest[trim(line.substr(1, eq - 1))] = trim(line.substr(eq + 1));
-      }
-      continue;
-    }
-    const std::vector<std::string> cells = split(line, ',');
-    if (columns.empty()) {
-      PH_REQUIRE(!cells.empty() && cells[0] == "metric",
-                 artifact.path + ": not a photherm metrics CSV (header must start "
-                                 "with `metric`)");
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        columns[cells[i]] = i;
-      }
-      continue;
-    }
-    const auto cell_text = [&](const char* column) -> std::string {
-      const auto it = columns.find(column);
-      return it != columns.end() && it->second < cells.size() ? cells[it->second]
-                                                              : std::string();
-    };
-    MetricRow row;
-    row.kind = cell_text("kind");
-    row.count = parse_cell_number(cell_text("count"), artifact.path + ": " + cells[0]);
-    row.total = parse_cell_number(cell_text("total"), artifact.path + ": " + cells[0]);
-    row.min = cell_text("min");
-    row.max = cell_text("max");
-    row.p50 = cell_text("p50");
-    row.p90 = cell_text("p90");
-    row.p99 = cell_text("p99");
-    artifact.values[cells[0]] = row.total;
-    artifact.metrics[cells[0]] = std::move(row);
+  report::MetricsCsv csv = report::parse_metrics_csv(content, artifact.path);
+  artifact.manifest = std::move(csv.manifest);
+  for (const auto& [name, row] : csv.metrics) {
+    artifact.values[name] = row.total;
   }
-  PH_REQUIRE(!columns.empty(), artifact.path + ": no metrics header found");
+  artifact.metrics = std::move(csv.metrics);
 }
 
 void load_bench_json(Artifact& artifact) {
@@ -504,6 +452,16 @@ int cmd_diff(const std::vector<std::string>& args) {
 
 // --- summarize -------------------------------------------------------------
 
+/// Sorts (value, item) pairs largest value first and NaN last: a strict
+/// weak ordering even when values are NaN, which `a.first > b.first` is
+/// not, so std::sort stays defined on any artifact.
+template <typename Item>
+void sort_largest_first(std::vector<std::pair<double, Item>>& items) {
+  std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+    return !std::isnan(a.first) && (std::isnan(b.first) || a.first > b.first);
+  });
+}
+
 void print_manifest(const std::map<std::string, std::string>& manifest) {
   if (manifest.empty()) {
     return;
@@ -555,11 +513,10 @@ void summarize_metrics(const Artifact& artifact, std::size_t top) {
       by_total.emplace_back(row.total, name);
     }
   }
-  std::sort(by_total.begin(), by_total.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  sort_largest_first(by_total);
   Table timers({"timer", "count", "total ms", "mean ms", "p50 ns", "p90 ns", "p99 ns"});
   for (std::size_t i = 0; i < by_total.size() && i < top; ++i) {
-    const MetricRow& row = artifact.metrics.at(by_total[i].second);
+    const report::MetricRow& row = artifact.metrics.at(by_total[i].second);
     timers.add_row({by_total[i].second, row.count, row.total / 1e6,
                     row.total / 1e6 / row.count, row.p50, row.p90, row.p99});
   }
@@ -659,8 +616,7 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
   for (const auto& [name, stats] : spans) {
     by_total.emplace_back(stats.total_us, name);
   }
-  std::sort(by_total.begin(), by_total.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  sort_largest_first(by_total);
   // cover %: the share of a span's wall its direct children account for,
   // 100 x (total - self) / total in the same whole nanoseconds.
   Table span_table({"span", "count", "total ms", "self ms", "cover %", "mean ms", "max ms"});
@@ -680,7 +636,7 @@ void summarize_trace(const Artifact& artifact, std::size_t top) {
   for (const auto& [detail, total] : scenarios) {
     hot.emplace_back(total, detail);
   }
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) { return a.first > b.first; });
+  sort_largest_first(hot);
   Table hot_table({"scenario", "wall ms"});
   for (std::size_t i = 0; i < hot.size() && i < top; ++i) {
     hot_table.add_row({hot[i].second, hot[i].first / 1e3});
@@ -705,8 +661,7 @@ void summarize_bench(const Artifact& artifact, std::size_t top) {
   for (const JsonValue& bench : benchmarks->items) {
     by_time.emplace_back(bench.number_or("real_time", 0.0), &bench);
   }
-  std::sort(by_time.begin(), by_time.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  sort_largest_first(by_time);
   Table table({"benchmark", "real_time", "cpu_time", "unit", "label"});
   for (std::size_t i = 0; i < by_time.size() && i < top; ++i) {
     const JsonValue& bench = *by_time[i].second;

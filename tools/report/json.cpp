@@ -27,6 +27,41 @@ std::string JsonValue::text_or(const std::string& key, const std::string& fallba
   return v != nullptr && v->kind == Kind::kString ? v->text : fallback;
 }
 
+DecimalScan scan_decimal(const std::string& text, std::size_t pos) {
+  const auto at = [&](char ch) { return pos < text.size() && text[pos] == ch; };
+  const auto digits = [&] {
+    const std::size_t start = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
+      ++pos;
+    }
+    return pos > start;
+  };
+  if (at('-')) {
+    ++pos;
+  }
+  if (at('0')) {
+    ++pos;
+  } else if (!digits()) {
+    return {pos, "expected a JSON value"};
+  }
+  if (at('.')) {
+    ++pos;
+    if (!digits()) {
+      return {pos, "malformed number: no digit after the decimal point"};
+    }
+  }
+  if (at('e') || at('E')) {
+    ++pos;
+    if (at('+') || at('-')) {
+      ++pos;
+    }
+    if (!digits()) {
+      return {pos, "malformed number: no digit in the exponent"};
+    }
+  }
+  return {pos, nullptr};
+}
+
 namespace {
 
 class JsonParser {
@@ -76,14 +111,6 @@ class JsonParser {
       return true;
     }
     return false;
-  }
-
-  bool at_digit() const { return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9'; }
-
-  void skip_digits() {
-    while (at_digit()) {
-      ++pos_;
-    }
   }
 
   std::string parse_string() {
@@ -162,27 +189,10 @@ class JsonParser {
       }
     }
     if (!non_finite) {
-      if (pos_ < text_.size() && text_[pos_] == '-') {
-        ++pos_;
-      }
-      require(at_digit(), "expected a JSON value");
-      if (text_[pos_] == '0') {
-        ++pos_;
-      } else {
-        skip_digits();
-      }
-      if (pos_ < text_.size() && text_[pos_] == '.') {
-        ++pos_;
-        require(at_digit(), "malformed number: no digit after the decimal point");
-        skip_digits();
-      }
-      if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-        ++pos_;
-        if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-          ++pos_;
-        }
-        require(at_digit(), "malformed number: no digit in the exponent");
-        skip_digits();
+      const DecimalScan scan = scan_decimal(text_, pos_);
+      pos_ = scan.end;
+      if (scan.error != nullptr) {
+        require(false, scan.error);
       }
     }
     // A number ends where a value may: `0x10`, `01` and `infinity` must not

@@ -5,6 +5,7 @@
 /// suite can drive it directly.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,5 +37,16 @@ struct JsonValue {
 /// `01`, `infinity`, nesting deeper than 256 levels — throws photherm::Error
 /// naming `context` and the byte offset.
 JsonValue parse_json(const std::string& text, const std::string& context);
+
+/// Where a finite number of parse_json's grammar,
+/// -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?, starting at a
+/// byte offset ends: `end` is the offset after it, or where it breaks with
+/// `error` saying why (nullptr for a number). The metrics-CSV reader
+/// shares the grammar through this.
+struct DecimalScan {
+  std::size_t end = 0;
+  const char* error = nullptr;
+};
+DecimalScan scan_decimal(const std::string& text, std::size_t pos);
 
 }  // namespace photherm::report
